@@ -391,12 +391,8 @@ int main(int argc, char** argv) {
       // agree bitwise produce byte-identical files.
       sim.synchronize();
       const auto loc = sim.local();
-      auto all = world.gatherv(loc, 0);
+      const auto all = core::sorted_by_id(world.gatherv(loc, 0));
       if (world.rank() == 0) {
-        std::sort(all.begin(), all.end(),
-                  [](const core::Particle& a, const core::Particle& b) {
-                    return a.id < b.id;
-                  });
         io::SnapshotHeader h;
         h.clock = sim.clock();
         h.particle_mass = all.empty() ? 0 : all[0].mass;

@@ -2,6 +2,7 @@
 // configured from a key = value file -- initial conditions (Zel'dovich or
 // 2LPT), the multiple-stepsize integration in log(a), snapshot and image
 // output, optional restart from a snapshot, and a FoF catalog at the end.
+// Runs the distributed engine on one rank; GREEM_THREADS sizes its pool.
 //
 // Usage: greem_run <config-file>
 //        greem_run --print-defaults
@@ -14,12 +15,13 @@
 
 #include "analysis/fof.hpp"
 #include "analysis/projection.hpp"
-#include "core/simulation.hpp"
+#include "core/parallel_sim.hpp"
 #include "fft/fft1d.hpp"
 #include "ic/zeldovich.hpp"
 #include "io/config.hpp"
 #include "io/csv.hpp"
 #include "io/snapshot.hpp"
+#include "parx/runtime.hpp"
 
 using namespace greem;
 
@@ -54,18 +56,18 @@ struct KnownKeys {
                                 "snapshots", "restart",    "fof"};
 };
 
-void dump(const std::string& prefix, int index, const core::Simulation& sim) {
+void dump(const std::string& prefix, int index, const core::ParallelSimulation& sim) {
   char tag[64];
   std::snprintf(tag, sizeof tag, "%s_%03d", prefix.c_str(), index);
+  const auto particles = core::sorted_by_id(sim.local());
   io::SnapshotHeader h;
   h.clock = sim.clock();
   h.comoving = 1;
-  h.particle_mass = sim.particles().empty() ? 0 : sim.particles()[0].mass;
-  io::write_snapshot(std::string(tag) + ".bin", h, sim.particles());
+  h.particle_mass = particles.empty() ? 0 : particles[0].mass;
+  io::write_snapshot(std::string(tag) + ".bin", h, particles);
   analysis::ProjectionParams pp;
   pp.pixels = 256;
-  analysis::write_projection(core::positions_of(sim.particles()), pp,
-                             std::string(tag) + ".pgm");
+  analysis::write_projection(core::positions_of(particles), pp, std::string(tag) + ".pgm");
   std::printf("  dumped %s.{bin,pgm} at a = %.5f (z = %.1f)\n", tag, sim.clock(),
               cosmo::Cosmology::z_of_a(sim.clock()));
 }
@@ -132,41 +134,48 @@ int main(int argc, char** argv) {
                 cfg.get_string("ic", "2lpt").c_str(), ics.pos.size(),
                 cosmo::Cosmology::z_of_a(a_start), ics.rms_displacement_spacings);
     particles.resize(ics.pos.size());
-    for (std::size_t i = 0; i < particles.size(); ++i)
-      particles[i] = {ics.pos[i], ics.mom[i], {}, {}, ics.particle_mass, i};
-  }
-
-  core::SimulationConfig sim_cfg;
-  const auto n_mesh = static_cast<std::size_t>(cfg.get_int("n_mesh", 0));
-  sim_cfg.force.pm.n_mesh = n_mesh > 0 ? fft::next_pow2(n_mesh) : fft::next_pow2(2 * n_per_dim);
-  sim_cfg.force.theta = cfg.get_double("theta", 0.5);
-  sim_cfg.force.ncrit = static_cast<std::uint32_t>(cfg.get_int("ncrit", 64));
-  sim_cfg.force.eps =
-      cfg.get_double("eps_spacings", 0.03) / static_cast<double>(n_per_dim);
-  sim_cfg.metric.comoving = true;
-  sim_cfg.metric.cosmology = cosmos;
-
-  core::Simulation sim(sim_cfg, std::move(particles), clock);
-
-  const auto schedule = core::log_schedule(clock, a_end, nsteps);
-  const int nsnap = std::max(1, static_cast<int>(cfg.get_int("snapshots", 2)));
-  int next_dump = 1;
-  dump(prefix, 0, sim);
-  for (int s = 1; s <= nsteps; ++s) {
-    sim.step(schedule[static_cast<std::size_t>(s)]);
-    std::printf("step %3d/%d  a = %.5f  z = %6.1f  interactions = %llu\n", s, nsteps,
-                sim.clock(), cosmo::Cosmology::z_of_a(sim.clock()),
-                static_cast<unsigned long long>(sim.last_step().pp.interactions));
-    if (s * nsnap >= next_dump * nsteps) {
-      sim.synchronize();
-      dump(prefix, next_dump, sim);
-      ++next_dump;
+    for (std::size_t i = 0; i < particles.size(); ++i) {
+      particles[i].pos = ics.pos[i];
+      particles[i].mom = ics.mom[i];
+      particles[i].mass = ics.particle_mass;
+      particles[i].id = i;
     }
   }
-  sim.synchronize();
+
+  core::ParallelSimConfig sim_cfg;
+  const auto n_mesh = static_cast<std::size_t>(cfg.get_int("n_mesh", 0));
+  sim_cfg.pm.n_mesh = n_mesh > 0 ? fft::next_pow2(n_mesh) : fft::next_pow2(2 * n_per_dim);
+  sim_cfg.theta = cfg.get_double("theta", 0.5);
+  sim_cfg.ncrit = static_cast<std::uint32_t>(cfg.get_int("ncrit", 64));
+  sim_cfg.eps = cfg.get_double("eps_spacings", 0.03) / static_cast<double>(n_per_dim);
+  sim_cfg.metric.comoving = true;
+  sim_cfg.metric.cosmology = cosmos;
+  sim_cfg.cost_metric = core::CostMetric::kInteractions;  // bit-reproducible runs
+
+  std::vector<core::Particle> final_state;
+  parx::run_ranks(1, [&](parx::Comm& world) {
+    core::ParallelSimulation sim(world, sim_cfg, std::move(particles), clock);
+    const auto schedule = core::log_schedule(clock, a_end, nsteps);
+    const int nsnap = std::max(1, static_cast<int>(cfg.get_int("snapshots", 2)));
+    int next_dump = 1;
+    dump(prefix, 0, sim);
+    for (int s = 1; s <= nsteps; ++s) {
+      sim.step(schedule[static_cast<std::size_t>(s)]);
+      std::printf("step %3d/%d  a = %.5f  z = %6.1f  interactions = %llu\n", s, nsteps,
+                  sim.clock(), cosmo::Cosmology::z_of_a(sim.clock()),
+                  static_cast<unsigned long long>(sim.last_step().pp_stats.interactions));
+      if (s * nsnap >= next_dump * nsteps) {
+        sim.synchronize();
+        dump(prefix, next_dump, sim);
+        ++next_dump;
+      }
+    }
+    sim.synchronize();
+    final_state = core::sorted_by_id(sim.local());
+  });
 
   if (cfg.get_bool("fof", true)) {
-    const auto pos = core::positions_of(sim.particles());
+    const auto pos = core::positions_of(final_state);
     const auto groups =
         analysis::fof_groups(pos, analysis::fof_linking_length(pos.size()), 32);
     const std::string catalog = prefix + "_halos.csv";

@@ -1,5 +1,6 @@
 #include "core/particle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -16,6 +17,13 @@ std::vector<Vec3> positions_of(std::span<const Particle> ps) {
 std::vector<double> masses_of(std::span<const Particle> ps) {
   std::vector<double> out(ps.size());
   for (std::size_t i = 0; i < ps.size(); ++i) out[i] = ps[i].mass;
+  return out;
+}
+
+std::vector<Particle> sorted_by_id(std::span<const Particle> ps) {
+  std::vector<Particle> out(ps.begin(), ps.end());
+  std::sort(out.begin(), out.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
   return out;
 }
 

@@ -38,6 +38,10 @@ static_assert(std::is_trivially_copyable_v<Particle>);
 std::vector<Vec3> positions_of(std::span<const Particle> ps);
 std::vector<double> masses_of(std::span<const Particle> ps);
 
+/// Copy sorted by id: the canonical order of snapshots and cross-run
+/// comparisons (domain decomposition reorders a rank's particles).
+std::vector<Particle> sorted_by_id(std::span<const Particle> ps);
+
 /// Uniformly random particles in the unit box with equal masses summing to
 /// total_mass (test/bench workloads).
 std::vector<Particle> random_uniform_particles(std::size_t n, double total_mass,

@@ -1,8 +1,11 @@
 #pragma once
 // Serial TreePM force module: short-range Barnes-Hut walk with the gP3M
 // cutoff (over the 27 periodic images, pruned by rcut) plus the PM
-// long-range solve.  The single-process reference implementation of the
-// paper's force split; the parallel driver reproduces it distributed.
+// long-range solve.  A test oracle, not a step engine: core_test checks it
+// against Ewald, and parallel_sim_test checks the forces of
+// ParallelSimulation (the one engine every driver steps with, on one rank
+// or many) against it.  Also the force of the accuracy benches and the
+// energy diagnostics.
 
 #include <memory>
 #include <span>

@@ -1,8 +1,11 @@
 #pragma once
 // Serial PM (particle-mesh) long-range force solver over the full periodic
 // mesh: assignment -> FFT -> Green multiply -> inverse FFT -> 4-point
-// finite difference -> interpolation.  This is the single-process baseline
-// against which the parallel PM (with the relay mesh method) is verified.
+// finite difference -> interpolation.  A reference, not a step-engine
+// path: the parallel PM (direct, relay and pencil conversions) is verified
+// against it, TreePmForce uses it as the long-range half of the oracle
+// force, and the accuracy/assignment benches and energy diagnostics call
+// it directly.
 
 #include <span>
 #include <vector>

@@ -70,20 +70,18 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
 ///   kScalar        -- exact pp_kernel_scalar (for A/B benchmarking)
 ///   kBasic         -- 1i x 4j lane loop, compiler-vectorized (the
 ///                     pre-blocking kernel; kept as the portable baseline)
-///   kBlocked       -- portable 4i x 4j register-blocked form of the
-///                     paper (four targets share every j-lane load)
 ///   kBlockedAvx2   -- 4i x 4j AVX2+FMA intrinsics, rsqrt seed from
 ///                     _mm_rsqrt_ps + the paper's third-order step
 ///   kBlockedAvx512 -- 4i x 8j AVX-512 intrinsics, _mm512_rsqrt14_pd
 ///                     seed (the software analog of HPC-ACE frsqrta)
 ///                     + the paper's third-order step
-enum class PhantomVariant { kAuto, kScalar, kBasic, kBlocked, kBlockedAvx2, kBlockedAvx512 };
+enum class PhantomVariant { kAuto, kScalar, kBasic, kBlockedAvx2, kBlockedAvx512 };
 
 /// True if `v` can execute on this CPU/build.
 bool phantom_variant_available(PhantomVariant v);
 
 /// Name used by GREEM_KERNEL and the bench JSON ("auto", "scalar",
-/// "basic", "blocked", "avx2", "avx512").
+/// "basic", "avx2", "avx512").
 const char* phantom_variant_name(PhantomVariant v);
 
 /// The variant pp_kernel_phantom currently dispatches to, with kAuto and

@@ -943,11 +943,8 @@ void SimService::recover(parx::Comm& world, const Cmd& cmd, const std::string& w
 std::vector<core::Particle> gather_sorted(parx::Comm& world,
                                           const core::ParallelSimulation& sim) {
   const auto mine = sim.local();
-  auto all = world.gatherv(std::span<const core::Particle>(mine), 0);
-  if (world.rank() == 0)
-    std::sort(all.begin(), all.end(),
-              [](const core::Particle& a, const core::Particle& b) { return a.id < b.id; });
-  return all;
+  const auto all = world.gatherv(std::span<const core::Particle>(mine), 0);
+  return core::sorted_by_id(all);
 }
 
 std::uint64_t state_hash(std::span<const core::Particle> particles, double clock) {

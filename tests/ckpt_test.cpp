@@ -302,9 +302,7 @@ std::vector<Particle> test_particles(std::size_t n, std::uint64_t seed) {
 std::vector<Particle> sorted_locals(std::vector<std::vector<Particle>>& per_rank) {
   std::vector<Particle> all;
   for (auto& v : per_rank) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(),
-            [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  return all;
+  return sorted_by_id(all);
 }
 
 void expect_bitwise_equal(const std::vector<Particle>& a, const std::vector<Particle>& b) {

@@ -1,6 +1,9 @@
 // Core library tests: force baselines, the serial TreePM force against
-// Ewald, energy conservation of the multiple-stepsize integrator, and the
-// linear growth of structure in a comoving simulation.
+// Ewald (the reference the distributed force is checked against), and the
+// multiple-stepsize integrator -- energy conservation, second order,
+// restart, subcycling, and the linear growth of structure in a comoving
+// simulation -- run on a one-rank ParallelSimulation, the engine every
+// driver uses.
 
 #include <gtest/gtest.h>
 
@@ -11,17 +14,32 @@
 #include "core/direct_force.hpp"
 #include "pp/cutoff.hpp"
 #include "core/energy.hpp"
-#include "core/simulation.hpp"
+#include "core/parallel_sim.hpp"
 #include "core/tree_force.hpp"
 #include "core/treepm_force.hpp"
 #include "ewald/ewald.hpp"
 #include "ic/zeldovich.hpp"
 #include "io/snapshot.hpp"
+#include "parx/runtime.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace greem::core {
 namespace {
+
+/// Integrate `ps` through `clocks` (clocks[0] is the start) on a one-rank
+/// ParallelSimulation and return the synchronized particles sorted by id.
+std::vector<Particle> integrate(const ParallelSimConfig& cfg, std::vector<Particle> ps,
+                                const std::vector<double>& clocks) {
+  std::vector<Particle> out;
+  parx::run_ranks(1, [&](parx::Comm& world) {
+    ParallelSimulation sim(world, cfg, std::move(ps), clocks.front());
+    for (std::size_t s = 1; s < clocks.size(); ++s) sim.step(clocks[s]);
+    sim.synchronize();
+    out = sorted_by_id(sim.local());
+  });
+  return out;
+}
 
 TEST(DirectForce, TwoBodyNewton) {
   const std::vector<Vec3> pos{{0.3, 0.5, 0.5}, {0.7, 0.5, 0.5}};
@@ -142,7 +160,7 @@ TEST(Schedules, LinearAndLog) {
   EXPECT_NEAR(lg[1], 0.1, 1e-12);
 }
 
-TEST(Simulation, StaticModeConservesEnergy) {
+TEST(Integrator, StaticModeConservesEnergy) {
   // A warm periodic system integrated with the multiple-stepsize KDK: the
   // Hamiltonian measured with the Ewald potential must be conserved to
   // the force-error level over tens of steps.
@@ -153,43 +171,36 @@ TEST(Simulation, StaticModeConservesEnergy) {
   Rng rng(6);
   for (auto& p : ps) p.mom = {rng.normal() * 0.3, rng.normal() * 0.3, rng.normal() * 0.3};
 
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 32;
-  cfg.force.pm.rcut = 6.0 / 32.0;  // high-accuracy split for a clean check
-  cfg.force.theta = 0.3;
-  cfg.force.eps = 5e-3;
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 32;
+  cfg.pm.rcut = 6.0 / 32.0;  // high-accuracy split for a clean check
+  cfg.theta = 0.3;
+  cfg.eps = 5e-3;
   cfg.nsub = 2;
-  Simulation sim(cfg, ps, 0.0);
 
   ewald::EwaldParams ep;
   ep.table_n = 32;
   const ewald::Ewald ew(ep);
-  const double eps2 = cfg.force.eps * cfg.force.eps;
+  const double eps2 = cfg.eps * cfg.eps;
 
-  sim.synchronize();
-  const double e0 = kinetic_energy(sim.particles()) +
-                    ewald_potential_energy(ew, sim.particles(), eps2);
-  const double dt = 5e-4;
-  for (int s = 1; s <= 25; ++s) sim.step(s * dt);
-  sim.synchronize();
-  const double e1 = kinetic_energy(sim.particles()) +
-                    ewald_potential_energy(ew, sim.particles(), eps2);
+  const double e0 = kinetic_energy(ps) + ewald_potential_energy(ew, ps, eps2);
+  const auto end = integrate(cfg, ps, linear_schedule(0.0, 25 * 5e-4, 25));
+  const double e1 = kinetic_energy(end) + ewald_potential_energy(ew, end, eps2);
   EXPECT_NEAR(e1, e0, 0.005 * std::abs(e0));
 }
 
-TEST(Simulation, MomentumStaysNearZero) {
-  auto ps = random_uniform_particles(100, 1.0, 7);
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 16;
-  cfg.force.eps = 1e-3;
-  Simulation sim(cfg, ps, 0.0);
-  for (int s = 1; s <= 5; ++s) sim.step(s * 0.005);
+TEST(Integrator, MomentumStaysNearZero) {
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.eps = 1e-3;
+  const auto end =
+      integrate(cfg, random_uniform_particles(100, 1.0, 7), linear_schedule(0.0, 0.025, 5));
   Vec3 net{};
-  for (const auto& p : sim.particles()) net += p.mom * p.mass;
+  for (const auto& p : end) net += p.mom * p.mass;
   EXPECT_LT(net.norm(), 1e-4);
 }
 
-TEST(Simulation, ComovingLinearGrowthMatchesEds) {
+TEST(Integrator, ComovingLinearGrowthMatchesEds) {
   // Zel'dovich ICs in EdS: the power spectrum must grow as D^2 = a^2 in
   // the linear regime -- the standard cosmological integrator test.
   ic::ZeldovichParams zp;
@@ -209,19 +220,18 @@ TEST(Simulation, ComovingLinearGrowthMatchesEds) {
     ps[i].id = i;
   }
 
-  SimulationConfig cfg;
-  cfg.force.pm.n_mesh = 16;
-  cfg.force.theta = 0.4;
-  cfg.force.eps = 1e-3;
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.theta = 0.4;
+  cfg.eps = 1e-3;
   cfg.metric.comoving = true;
   cfg.metric.cosmology = cosmos;
-  Simulation sim(cfg, std::move(ps), zp.a_start);
 
-  auto power_at = [&](double kmax_frac) {
+  auto power_at = [&](std::span<const Particle> state, double kmax_frac) {
     analysis::PowerMeasureParams mp;
     mp.n_mesh = 16;
     mp.subtract_shot_noise = false;  // grid ICs carry no Poisson noise
-    const auto bins = analysis::measure_power(positions_of(sim.particles()), mp);
+    const auto bins = analysis::measure_power(positions_of(state), mp);
     double sum = 0;
     int cnt = 0;
     for (const auto& b : bins) {
@@ -234,12 +244,9 @@ TEST(Simulation, ComovingLinearGrowthMatchesEds) {
     return sum / std::max(cnt, 1);
   };
 
-  const double p0 = power_at(5);
-  const double a_end = 2.0 * zp.a_start;
-  const auto schedule = log_schedule(zp.a_start, a_end, 16);
-  for (std::size_t s = 1; s < schedule.size(); ++s) sim.step(schedule[s]);
-  sim.synchronize();
-  const double p1 = power_at(5);
+  const double p0 = power_at(ps, 5);
+  const auto end = integrate(cfg, ps, log_schedule(zp.a_start, 2.0 * zp.a_start, 16));
+  const double p1 = power_at(end, 5);
 
   // D grows by 2x -> power by 4x (tolerate discreteness/shot effects).
   EXPECT_NEAR(p1 / p0, 4.0, 1.0);
@@ -273,23 +280,19 @@ TEST(Particles, GeneratorsProduceRequestedMassAndCount) {
 }
 
 
-TEST(Simulation, IntegratorIsSecondOrder) {
+TEST(Integrator, IsSecondOrder) {
   // Symplectic KDK: halving the step size must quarter the position error
   // (measured against a much finer reference run).
   auto make = [](int nsteps) {
     auto ps = random_uniform_particles(32, 1.0, 21);
     Rng rng(22);
     for (auto& p : ps) p.mom = {rng.normal() * 0.2, rng.normal() * 0.2, rng.normal() * 0.2};
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.theta = 0.0;  // exact walk: isolate the time-integration error
-    cfg.force.kernel = tree::KernelKind::kScalar;
-    cfg.force.eps = 0.02;
-    Simulation sim(cfg, std::move(ps), 0.0);
-    const double t_end = 0.08;
-    for (int s = 1; s <= nsteps; ++s) sim.step(t_end * s / nsteps);
-    sim.synchronize();
-    return std::vector<Particle>(sim.particles().begin(), sim.particles().end());
+    ParallelSimConfig cfg;
+    cfg.pm.n_mesh = 16;
+    cfg.theta = 0.0;  // exact walk: isolate the time-integration error
+    cfg.kernel = tree::KernelKind::kScalar;
+    cfg.eps = 0.02;
+    return integrate(cfg, std::move(ps), linear_schedule(0.0, 0.08, nsteps));
   };
   const auto ref = make(64);
   const auto coarse = make(4);
@@ -330,43 +333,35 @@ TEST(StepLimiter, ColdSystemGetsMaxStep) {
 }
 
 
-TEST(Simulation, RestartFromSnapshotContinuesTrajectory) {
-  // Run 6 steps straight vs 3 steps -> snapshot -> restart -> 3 steps:
-  // the split run must track the continuous one to integrator accuracy
-  // (the restart re-seeds the long-kick staggering, an O(dt^2) effect).
-  auto make_cfg = [] {
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.eps = 5e-3;
-    cfg.force.theta = 0.3;
-    return cfg;
-  };
+TEST(Integrator, RestartFromSnapshotContinuesTrajectory) {
+  // Run 6 steps straight vs 3 steps -> snapshot -> restart -> 3 steps.
+  // synchronize() applies the pending long half-kick from acc_l at the
+  // step-3 positions, and the restarted engine re-evaluates acc_s and
+  // acc_l at those same positions, so the split run reproduces the
+  // continuous one to roundoff (measured ~1e-15).
+  ParallelSimConfig cfg;
+  cfg.pm.n_mesh = 16;
+  cfg.eps = 5e-3;
+  cfg.theta = 0.3;
   auto ps = random_uniform_particles(100, 1.0, 31);
   Rng rng(32);
   for (auto& p : ps) p.mom = {rng.normal() * 0.1, rng.normal() * 0.1, rng.normal() * 0.1};
   const double dt = 1e-3;
 
-  Simulation full(make_cfg(), ps, 0.0);
-  for (int s = 1; s <= 6; ++s) full.step(s * dt);
-  full.synchronize();
+  const auto a = integrate(cfg, ps, {0.0, dt, 2 * dt, 3 * dt, 4 * dt, 5 * dt, 6 * dt});
 
-  Simulation first(make_cfg(), ps, 0.0);
-  for (int s = 1; s <= 3; ++s) first.step(s * dt);
-  first.synchronize();
+  const auto first = integrate(cfg, ps, {0.0, dt, 2 * dt, 3 * dt});
   const std::string path = testing::TempDir() + "/restart.bin";
-  ASSERT_TRUE(io::write_snapshot(path, {0, first.clock(), 0.01, 0}, first.particles()));
+  ASSERT_TRUE(io::write_snapshot(path, {0, 3 * dt, 0.01, 0}, first));
 
   const auto snap = io::read_snapshot(path);
   ASSERT_TRUE(snap.has_value());
-  Simulation second(make_cfg(), snap->particles, snap->header.clock);
-  for (int s = 4; s <= 6; ++s) second.step(s * dt);
-  second.synchronize();
-
-  const auto a = full.particles();
-  const auto b = second.particles();
+  const auto b =
+      integrate(cfg, snap->particles, {snap->header.clock, 4 * dt, 5 * dt, 6 * dt});
+  ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(min_image(a[i].pos, b[i].pos).norm(), 1e-6);
-    EXPECT_LT((a[i].mom - b[i].mom).norm(), 1e-4);
+    EXPECT_LT(min_image(a[i].pos, b[i].pos).norm(), 1e-12);
+    EXPECT_LT((a[i].mom - b[i].mom).norm(), 1e-12);
   }
 }
 
@@ -380,14 +375,11 @@ TEST_P(NsubSweep, SubcyclingCountsAgreeOnSmoothSystem) {
   for (auto& p : ps) p.mom = {rng.normal() * 0.05, rng.normal() * 0.05, rng.normal() * 0.05};
 
   auto run = [&](int nsub) {
-    SimulationConfig cfg;
-    cfg.force.pm.n_mesh = 16;
-    cfg.force.eps = 5e-3;
+    ParallelSimConfig cfg;
+    cfg.pm.n_mesh = 16;
+    cfg.eps = 5e-3;
     cfg.nsub = nsub;
-    Simulation sim(cfg, ps, 0.0);
-    for (int s = 1; s <= 4; ++s) sim.step(s * 1e-3);
-    sim.synchronize();
-    return std::vector<Particle>(sim.particles().begin(), sim.particles().end());
+    return integrate(cfg, ps, {0.0, 1e-3, 2e-3, 3e-3, 4e-3});
   };
   const auto ref = run(4);
   const auto got = run(GetParam());

@@ -167,8 +167,7 @@ TEST(Kernels, EveryPhantomVariantMatchesScalar) {
   pp_kernel_scalar(xi, a_scalar, list, rcut, eps2);
   list.pad4();
   for (const PhantomVariant v :
-       {PhantomVariant::kBasic, PhantomVariant::kBlocked, PhantomVariant::kBlockedAvx2,
-        PhantomVariant::kBlockedAvx512}) {
+       {PhantomVariant::kBasic, PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512}) {
     if (!phantom_variant_available(v)) continue;
     std::vector<Vec3> a(ni);
     pp_kernel_phantom_variant(v, xi, a, list, rcut, eps2);
