@@ -2,15 +2,18 @@
 // ParallelSimulation for a few steps with step reporting on and emits the
 // full observability artifact set --
 //
-//   BENCH_step.jsonl      one StepRecord JSON line per step (Table I phase
-//                         times as max over ranks, achieved flop rate from
-//                         the 51 flops/interaction accounting, pool and
-//                         traffic statistics),
-//   BENCH_step.json       the RunMeta envelope plus a summary of the last
-//                         step, checkpoint overhead, and the
-//                         metrics-registry counters,
-//   BENCH_step_trace.json Chrome trace-format spans (load in
-//                         chrome://tracing or https://ui.perfetto.dev).
+//   BENCH_step.jsonl         one StepRecord JSON line per step (Table I
+//                            phase times as max over ranks, achieved flop
+//                            rate from the 51 flops/interaction
+//                            accounting, pool and traffic statistics),
+//   BENCH_step.json          the RunMeta envelope plus a summary of the
+//                            last step, checkpoint overhead, and the
+//                            metrics-registry counters,
+//   BENCH_flight_trace.json  the one trace artifact: the flight-recorder
+//                            dump of the main run -- every span, transport
+//                            frame and send->recv flow, one track per parx
+//                            rank, in Chrome trace format (load in
+//                            https://ui.perfetto.dev).
 //
 // This is the artifact CI uploads; it doubles as the quickest way to eyeball
 // where a step spends its time, and as the kill-and-restart harness: with
@@ -79,7 +82,6 @@
 #include "telemetry/json.hpp"
 #include "telemetry/live_endpoint.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/trace.hpp"
 #include "util/task_pool.hpp"
 #include "util/timer.hpp"
 
@@ -311,7 +313,6 @@ int main(int argc, char** argv) {
 
   constexpr int kRanks = 8;
   const char* jsonl_path = "BENCH_step.jsonl";
-  const char* trace_path = "BENCH_step_trace.json";
 
   if (!telemetry::enabled())
     std::printf("note: built with GREEM_TELEMETRY=OFF; step reports and traces "
@@ -482,11 +483,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (telemetry::write_chrome_trace(trace_path))
-    std::printf("wrote %s (%llu spans, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(telemetry::trace_event_count()),
-                static_cast<unsigned long long>(telemetry::trace_dropped_count()));
-
   if (std::ofstream os("BENCH_step.json"); os) {
     auto& reg = telemetry::Registry::global();
     telemetry::JsonWriter jw(os);
@@ -499,7 +495,6 @@ int main(int argc, char** argv) {
     jw.field("n_particles", final_n);
     jw.field("wall_seconds", wall_seconds);
     jw.field("step_report", jsonl_path);
-    jw.field("trace", trace_path);
     jw.key("last_step").begin_object();
     jw.field("interactions", last.interactions);
     jw.field("flops", last.flops);

@@ -2,8 +2,8 @@
 // Serial PM (particle-mesh) long-range force solver over the full periodic
 // mesh: assignment -> FFT -> Green multiply -> inverse FFT -> 4-point
 // finite difference -> interpolation.  A reference, not a step-engine
-// path: the parallel PM (direct, relay and pencil conversions) is verified
-// against it, TreePmForce uses it as the long-range half of the oracle
+// path: the parallel PM (direct and relay conversions) is verified against
+// it, TreePmForce uses it as the long-range half of the oracle
 // force, and the accuracy/assignment benches and energy diagnostics call
 // it directly.
 

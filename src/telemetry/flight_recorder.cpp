@@ -242,8 +242,7 @@ bool dump_flight_recorder(const std::string& path) {
   w.begin_object();
   w.key("displayTimeUnit").value("ms");
   w.key("traceEvents").begin_array();
-  // Track-name metadata, matching write_chrome_trace so the two artifacts
-  // line up when loaded together.
+  // Track-name metadata: one process row per rank plus the host row.
   std::vector<int> pids;
   for (const Event& e : all)
     if (std::find(pids.begin(), pids.end(), e.pid) == pids.end()) pids.push_back(e.pid);

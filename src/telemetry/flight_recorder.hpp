@@ -2,7 +2,7 @@
 // Always-on, lock-free per-thread flight recorder.
 //
 // Each thread owns a bounded ring of the most recent events it produced:
-// finished spans (mirrored from telemetry::Span), parx transport frame
+// finished spans (telemetry::Span records only here), parx transport frame
 // events (send/retransmit/deliver/recv/ack/drop with seq, byte count and
 // causal flow id), and watchdog/sentinel marks.  Recording is a handful of
 // relaxed atomic stores guarded by a per-slot seqlock -- no mutex, no
@@ -10,12 +10,12 @@
 // last few thousand events per thread are always available for post-mortem
 // inspection.
 //
-// dump_flight_recorder() freezes a best-effort snapshot (torn slots are
-// skipped, not blocked on) into Chrome trace-format JSON on the same time
-// base as trace.cpp, so a watchdog dump and an opt-in span trace line up
-// in Perfetto.  Matched send/recv events additionally emit "s"/"f" flow
-// events sharing the message's flow id, which Perfetto renders as arrows
-// between rank tracks.
+// dump_flight_recorder() is the one Chrome trace writer: it freezes a
+// best-effort snapshot (torn slots are skipped, not blocked on) into
+// Chrome trace-format JSON, spans and frames on one time base
+// (trace_now_ns) and one per-thread tid numbering.  Matched send/recv
+// events additionally emit "s"/"f" flow events sharing the message's flow
+// id, which Perfetto renders as arrows between rank tracks.
 //
 // The recorder is dumped automatically when the hang watchdog fires, the
 // invariant sentinel trips, or fault recovery runs (see transport.cpp,
@@ -52,8 +52,8 @@ inline constexpr std::size_t kFlightRingCapacity = 4096;
 /// "unstamped").
 std::uint64_t next_flow_id();
 
-/// Record a finished span (called by Span::finish; `name` must have static
-/// storage duration).
+/// Record a finished span (called by Span::finish, the only span store;
+/// `name` must have static storage duration).
 void flight_record_span(const char* name, std::int64_t ts_ns, std::int64_t dur_ns);
 
 /// Record a transport frame event.  `seq` is the reliable-transport

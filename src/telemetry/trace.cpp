@@ -2,64 +2,14 @@
 
 #if GREEM_TELEMETRY_ENABLED
 
-#include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json.hpp"
 
 namespace greem::telemetry {
 namespace {
 
-struct TraceEvent {
-  const char* name;
-  std::int64_t ts_ns;
-  std::int64_t dur_ns;
-  int pid;
-  int tid;
-};
-
-/// Per-thread buffer cap; beyond it spans are counted as dropped rather
-/// than growing without bound (a 2-step sim records a few thousand spans;
-/// the cap only matters for runaway loops).
-constexpr std::size_t kMaxEventsPerThread = 1u << 20;
-
-struct ThreadBuffer {
-  std::mutex mu;  ///< uncontended on push; contended only during flush
-  std::vector<TraceEvent> events;
-  int tid = 0;
-};
-
-struct TraceState {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  int next_tid = 0;
-  std::atomic<std::uint64_t> recorded{0};
-  std::atomic<std::uint64_t> dropped{0};
-};
-
-TraceState& state() {
-  static TraceState s;
-  return s;
-}
-
 thread_local int tl_pid = kHostTrack;
-thread_local std::shared_ptr<ThreadBuffer> tl_buf;
-
-ThreadBuffer& my_buffer() {
-  if (!tl_buf) {
-    tl_buf = std::make_shared<ThreadBuffer>();
-    TraceState& s = state();
-    std::lock_guard lock(s.mu);
-    tl_buf->tid = s.next_tid++;
-    s.buffers.push_back(tl_buf);
-  }
-  return *tl_buf;
-}
 
 }  // namespace
 
@@ -77,91 +27,7 @@ std::int64_t trace_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - epoch).count();
 }
 
-std::int64_t Span::now_ns() { return trace_now_ns(); }
-
-void Span::finish() {
-  const std::int64_t end_ns = now_ns();
-  flight_record_span(name_, start_ns_, end_ns - start_ns_);
-  ThreadBuffer& buf = my_buffer();
-  std::lock_guard lock(buf.mu);
-  if (buf.events.size() >= kMaxEventsPerThread) {
-    state().dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buf.events.push_back({name_, start_ns_, end_ns - start_ns_, tl_pid, buf.tid});
-  state().recorded.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t trace_event_count() {
-  return state().recorded.load(std::memory_order_relaxed);
-}
-
-std::uint64_t trace_dropped_count() {
-  return state().dropped.load(std::memory_order_relaxed);
-}
-
-bool write_chrome_trace(const std::string& path) {
-  std::vector<TraceEvent> all;
-  {
-    TraceState& s = state();
-    std::lock_guard lock(s.mu);
-    for (const auto& buf : s.buffers) {
-      std::lock_guard block(buf->mu);
-      all.insert(all.end(), buf->events.begin(), buf->events.end());
-    }
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts_ns < b.ts_ns; });
-
-  std::ofstream os(path);
-  if (!os) return false;
-  JsonWriter w(os, /*pretty=*/false);
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  // Track-name metadata: one process row per rank plus the host row.
-  std::vector<int> pids;
-  for (const TraceEvent& e : all)
-    if (std::find(pids.begin(), pids.end(), e.pid) == pids.end()) pids.push_back(e.pid);
-  std::sort(pids.begin(), pids.end());
-  for (const int pid : pids) {
-    w.begin_object();
-    w.key("ph").value("M");
-    w.key("name").value("process_name");
-    w.key("pid").value(static_cast<std::int64_t>(pid));
-    w.key("args").begin_object();
-    w.key("name").value(pid == kHostTrack ? std::string("host")
-                                          : "rank " + std::to_string(pid));
-    w.end_object();
-    w.end_object();
-  }
-  for (const TraceEvent& e : all) {
-    w.begin_object();
-    w.key("name").value(e.name);
-    w.key("cat").value("greem");
-    w.key("ph").value("X");
-    w.key("ts").value(static_cast<double>(e.ts_ns) * 1e-3);   // microseconds
-    w.key("dur").value(static_cast<double>(e.dur_ns) * 1e-3);
-    w.key("pid").value(static_cast<std::int64_t>(e.pid));
-    w.key("tid").value(static_cast<std::int64_t>(e.tid));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << "\n";
-  return static_cast<bool>(os);
-}
-
-void clear_trace() {
-  TraceState& s = state();
-  std::lock_guard lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    std::lock_guard block(buf->mu);
-    buf->events.clear();
-  }
-  s.recorded.store(0, std::memory_order_relaxed);
-  s.dropped.store(0, std::memory_order_relaxed);
-}
+void Span::finish() { flight_record_span(name_, start_ns_, trace_now_ns() - start_ns_); }
 
 }  // namespace greem::telemetry
 

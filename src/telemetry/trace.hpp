@@ -1,36 +1,34 @@
 #pragma once
-// Low-overhead span tracer emitting Chrome trace-format JSON.
+// Low-overhead RAII spans on the flight-recorder timeline.
 //
-// A Span is an RAII scope; its constructor takes one steady-clock sample
-// and its destructor pushes a complete ("ph":"X") event into a lock-free
-// thread-local buffer -- no allocation, no locking, no formatting on the
-// hot path.  write_chrome_trace() flushes every thread's buffer into a
-// file that chrome://tracing and https://ui.perfetto.dev load directly.
+// A Span's constructor takes one steady-clock sample and its destructor
+// records a complete ("ph":"X") event into the calling thread's
+// flight-recorder ring (flight_recorder.hpp) -- no allocation, no locking,
+// no formatting on the hot path.  The ring is the only span store:
+// dump_flight_recorder() writes spans, transport frames and marks into one
+// Chrome trace-format file that https://ui.perfetto.dev loads directly.
 //
-// Track identity: each event carries (pid, tid).  parx rank threads call
-// set_trace_rank(r) so their spans land on a per-rank track ("rank r"
-// process row in Perfetto); other threads default to the host track
-// (pid kHostTrack).  tids are assigned per OS thread in registration
-// order.
+// Track identity: parx rank threads call set_trace_rank(r) so their events
+// land on a per-rank track ("rank r" process row in Perfetto); other
+// threads default to the host track (pid kHostTrack).
 //
-// Span names must be string literals (or otherwise outlive the tracer):
+// Span names must be string literals (or otherwise outlive the recorder):
 // only the pointer is stored.
 //
 // With GREEM_TELEMETRY=OFF everything here is an empty inline no-op.
 
 #include <cstdint>
-#include <string>
 
 #include "telemetry/telemetry.hpp"  // GREEM_TELEMETRY_ENABLED
 
 namespace greem::telemetry {
 
-/// pid used for spans recorded outside any parx rank.
+/// pid used for events recorded outside any parx rank.
 inline constexpr int kHostTrack = -1;
 
 #if GREEM_TELEMETRY_ENABLED
 
-/// Route this thread's subsequent spans to the track of world rank `r`
+/// Route this thread's subsequent events to the track of world rank `r`
 /// (kHostTrack restores the default).  Returns the previous setting so
 /// scoped users can restore it.
 int set_trace_rank(int r);
@@ -40,14 +38,13 @@ int set_trace_rank(int r);
 int current_trace_rank();
 
 /// Nanoseconds since the process-wide trace epoch -- the time base of
-/// every span, frame event and flight-recorder dump, so artifacts from
-/// different subsystems line up in Perfetto.
+/// every span, frame event and mark in a flight-recorder dump.
 std::int64_t trace_now_ns();
 
 /// RAII complete-event span.  `name` must have static storage duration.
 class Span {
  public:
-  explicit Span(const char* name) : name_(name), start_ns_(now_ns()) {}
+  explicit Span(const char* name) : name_(name), start_ns_(trace_now_ns()) {}
   ~Span() { finish(); }
 
   Span(const Span&) = delete;
@@ -60,27 +57,11 @@ class Span {
   }
 
  private:
-  static std::int64_t now_ns();
   void finish();
 
   const char* name_;
   std::int64_t start_ns_;
 };
-
-/// Total spans recorded so far across all threads (drops excluded).
-std::uint64_t trace_event_count();
-
-/// Spans dropped because a thread buffer hit its cap (kMaxEventsPerThread).
-std::uint64_t trace_dropped_count();
-
-/// Write every recorded span as Chrome trace-format JSON ({"traceEvents":
-/// [...]}) to `path`.  Returns false on I/O failure.  Spans still open are
-/// not included.  Safe to call while other threads record (events pushed
-/// concurrently may land in this file or the next).
-bool write_chrome_trace(const std::string& path);
-
-/// Discard all recorded spans (thread buffers stay registered).
-void clear_trace();
 
 #else
 
@@ -93,11 +74,6 @@ class Span {
   explicit Span(const char*) {}
   void end() {}
 };
-
-inline std::uint64_t trace_event_count() { return 0; }
-inline std::uint64_t trace_dropped_count() { return 0; }
-inline bool write_chrome_trace(const std::string&) { return false; }
-inline void clear_trace() {}
 
 #endif  // GREEM_TELEMETRY_ENABLED
 

@@ -1,4 +1,5 @@
-// Flight-recorder and live-endpoint tests: ring wraparound stays bounded,
+// Flight-recorder and live-endpoint tests: ring wraparound stays bounded
+// for marks and spans alike (the ring is the only span store),
 // concurrent writers and dumpers are race-free (this test is in the tsan
 // label set), a lossy-link soak leaves matched send/recv flow pairs and
 // retransmit evidence from multiple ranks in the dump, the zero-copy fast
@@ -30,6 +31,7 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/live_endpoint.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace greem::telemetry {
 namespace {
@@ -86,6 +88,15 @@ TEST(FlightRecorder, WraparoundStaysBounded) {
   // thread: every surviving slot is ours, and none beyond capacity.
   EXPECT_EQ(count_occurrences(json, kName), kFlightRingCapacity);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+
+  // Spans share the ring: capacity + 1000 of them leave exactly the newest
+  // kFlightRingCapacity in the dump, and no mark survives beside them.
+  static const char kSpanName[] = "test/wraparound_span";
+  for (std::size_t i = 0; i < writes; ++i) Span sp(kSpanName);
+  ASSERT_TRUE(dump_flight_recorder(f.path));
+  const std::string spans = slurp(f.path);
+  EXPECT_EQ(count_occurrences(spans, kSpanName), kFlightRingCapacity);
+  EXPECT_EQ(count_occurrences(spans, kName), 0u);
 }
 
 TEST(FlightRecorder, DisarmedRecordsNothing) {
@@ -94,6 +105,7 @@ TEST(FlightRecorder, DisarmedRecordsNothing) {
   const std::uint64_t before = flight_event_count();
   flight_record_mark("test/disarmed");
   flight_record_frame(FrameEventKind::kSend, 0, 1, 1, 8, 42);
+  { Span sp("test/disarmed_span"); }
   EXPECT_EQ(flight_event_count(), before);
   set_flight_recorder_enabled(true);
   flight_record_mark("test/rearmed");

@@ -1,5 +1,6 @@
 // Tests for the telemetry layer: registry name stability and first-use
-// order, histogram percentiles, span nesting via Chrome-trace parse-back,
+// order, histogram percentiles, span nesting via parse-back of the
+// flight-recorder dump (the one Chrome trace writer),
 // the JsonWriter/RunMeta envelope, traffic-ledger epochs telescoping to
 // the ledger totals, task-pool statistics, and the end-to-end StepRecord
 // flop accounting of a small distributed run.
@@ -25,6 +26,7 @@
 #include "parx/runtime.hpp"
 #include "parx/traffic.hpp"
 #include "pp/kernels.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/step_report.hpp"
@@ -389,10 +391,11 @@ TEST(JsonReader, ExactDoubleRoundTripsThroughValueExact) {
 
 // ------------------------------------------------------------- spans --
 
+// Spans are stored only in the flight recorder, so its dump is the trace.
 TEST(Trace, SpanNestingParsesBackOnRankTrack) {
   if (!telemetry::enabled()) GTEST_SKIP() << "built with GREEM_TELEMETRY=OFF";
   const char* path = "telemetry_test_trace.json";
-  telemetry::clear_trace();
+  telemetry::clear_flight_recorder();
   const int prev = telemetry::set_trace_rank(42);
   {
     telemetry::Span outer("test/outer");
@@ -403,7 +406,7 @@ TEST(Trace, SpanNestingParsesBackOnRankTrack) {
     }
   }
   telemetry::set_trace_rank(prev);
-  ASSERT_TRUE(telemetry::write_chrome_trace(path));
+  ASSERT_TRUE(telemetry::dump_flight_recorder(path));
 
   JVal root;
   ASSERT_TRUE(JParser(read_file(path)).parse(root));
@@ -438,7 +441,7 @@ TEST(Trace, SpanNestingParsesBackOnRankTrack) {
   EXPECT_LE(its + idur, ots + odur + 1.0);
   EXPECT_GE(odur, 3000.0 * 0.5);  // slept >= 3 ms total; timers can be coarse
 
-  telemetry::clear_trace();
+  telemetry::clear_flight_recorder();
   std::remove(path);
 }
 
