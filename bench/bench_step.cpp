@@ -20,7 +20,7 @@
 // --checkpoint-every / --restore-from / --fault-at the same binary writes
 // checkpoints, resumes from them, and survives injected rank faults, and
 // --final-state makes runs comparable byte-for-byte (cost weighting is by
-// interaction count here, so a restart reproduces the original run bitwise).
+// interaction count, so a restart reproduces the original run bitwise).
 //
 // Flags:
 //   --steps N             total steps (default 2)
@@ -82,6 +82,7 @@
 #include "telemetry/json.hpp"
 #include "telemetry/live_endpoint.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/stats.hpp"
 #include "util/task_pool.hpp"
 #include "util/timer.hpp"
 
@@ -231,19 +232,18 @@ double sim_steps_seconds(const core::ParallelSimConfig& cfg,
 /// returns the wall seconds plus the job-wide overlap fraction of the last
 /// step (inflight / (inflight + blocked), reduced over ranks), the PP load
 /// imbalance (max/mean over ranks of the last step's traversal+force
-/// seconds) and the task-pool busy imbalance (max/mean per-slot busy time
-/// over the probe's steps).  Works without telemetry -- OverlapStats and
-/// the timing breakdowns are plain StepReport data.
+/// seconds), the interaction imbalance (max/mean over ranks of the final
+/// PP cycle's summed group interactions, the StepRecord's
+/// pp_groups[r].interactions) and the task-pool busy imbalance
+/// (max/mean per-slot busy time over the probe's steps).  Works without
+/// telemetry -- OverlapStats, the timing breakdowns and the group costs
+/// are plain StepReport data.
 struct OverlapProbe {
   double seconds = 0;
   double fraction = 0;
   double pp_imbalance = 0;
+  double interaction_imbalance = 0;
   double pool_imbalance = 0;
-  // Load-balance v2 activity of the last step (global sums / published
-  // prediction); zero when donation is off.
-  double predicted_imbalance = 0;
-  std::uint64_t donated_groups = 0;
-  std::uint64_t donated_interactions = 0;
 };
 
 /// Median of 5 samples after one discarded warmup run: probes report a
@@ -288,18 +288,17 @@ OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
     const double pp_max = world.allreduce_max(pp_local);
     const double pp_mean =
         world.allreduce_sum(pp_local) / static_cast<double>(world.size());
-    std::uint64_t dn[2] = {sim.last_step().donated_groups,
-                           sim.last_step().donated_interactions};
-    world.allreduce_sum(std::span<std::uint64_t>(dn, 2));
+    double inter = 0;
+    for (const auto& gc : sim.last_step().pp_group_costs)
+      inter += static_cast<double>(gc.interactions);
+    const auto inter_per_rank = world.allgatherv(std::span<const double>(&inter, 1));
     if (world.rank() == 0) {
       std::lock_guard lock(mu);
       out.seconds = seconds;
       out.fraction = ov[0] + ov[1] > 0 ? ov[1] / (ov[0] + ov[1]) : 0.0;
       out.pp_imbalance = pp_mean > 0 ? pp_max / pp_mean : 0.0;
+      out.interaction_imbalance = summarize(inter_per_rank).imbalance();
       out.pool_imbalance = TaskPool::global().stats().imbalance();
-      out.predicted_imbalance = sim.last_step().predicted_imbalance;
-      out.donated_groups = dn[0];
-      out.donated_interactions = dn[1];
     }
   });
   return out;
@@ -346,9 +345,6 @@ int main(int argc, char** argv) {
   cfg.eps = 1e-3;
   cfg.sampling.target_samples = 10000;
   cfg.step_report_path = jsonl_path;
-  // Deterministic cost weighting: restarted/recovered runs reproduce the
-  // original bitwise, which is what --final-state comparisons check.
-  cfg.cost_metric = core::CostMetric::kInteractions;
   cfg.restore_from = opt.restore_from;
   cfg.overlap = opt.overlap;
 
@@ -433,12 +429,8 @@ int main(int argc, char** argv) {
   struct SweepPoint {
     std::size_t n = 0, n_mesh = 0;
     double no_plan_s = 0, rate0_s = 0, on_s = 0, off_s = 0, fraction_on = 0;
-    double pp_imbalance = 0, pool_imbalance = 0;  ///< from the overlap-off leg
-    /// Load-balance A/B: the same point with v1 rank-cost sampling and
-    /// donation off (the seed behavior) vs the default v2 leg above.
-    double pp_imbalance_v1 = 0;
-    double predicted_imbalance = 0;
-    std::uint64_t donated_groups = 0, donated_interactions = 0;
+    /// From the overlap-off leg.
+    double pp_imbalance = 0, interaction_imbalance = 0, pool_imbalance = 0;
   };
   std::vector<SweepPoint> sweep;
   if (!opt.large_n.empty() && opt.faults.empty() && opt.watchdog_s <= 0) {
@@ -468,17 +460,8 @@ int main(int argc, char** argv) {
       p.off_s = off.seconds;
       p.fraction_on = on.fraction;
       p.pp_imbalance = off.pp_imbalance;
+      p.interaction_imbalance = off.interaction_imbalance;
       p.pool_imbalance = off.pool_imbalance;
-      p.predicted_imbalance = off.predicted_imbalance;
-      p.donated_groups = off.donated_groups;
-      p.donated_interactions = off.donated_interactions;
-      // Load-balance v1 baseline leg (the seed's scalar rank cost, no
-      // donation) for the imbalance A/B the perf gate reads.
-      auto v1cfg = scfg;
-      v1cfg.lb_mode = core::LoadBalanceMode::kRankCost;
-      v1cfg.donation.enabled = false;
-      p.pp_imbalance_v1 =
-          overlap_steps_probe(v1cfg, pts, kRanks, kSweepSteps, dt, false).pp_imbalance;
       sweep.push_back(p);
     }
   }
@@ -507,12 +490,15 @@ int main(int argc, char** argv) {
     if (!last.pp_groups.empty()) {
       std::uint64_t groups = 0;
       double max_group_s = 0;
+      std::vector<double> interactions;
       for (const auto& g : last.pp_groups) {
         groups += g.groups;
         max_group_s = std::max(max_group_s, g.max_group_s);
+        interactions.push_back(static_cast<double>(g.interactions));
       }
       jw.field("pp_groups_total", groups);
       jw.field("pp_max_group_seconds", max_group_s);
+      jw.field("interaction_imbalance", summarize(interactions).imbalance());
     }
     jw.end_object();
     jw.key("checkpointing").begin_object();
@@ -662,11 +648,8 @@ int main(int argc, char** argv) {
         jw.field("overlap_fraction_on", p.fraction_on);
         jw.field("overlap_speedup", p.on_s > 0 ? p.off_s / p.on_s : 0.0);
         jw.field("pp_imbalance", p.pp_imbalance);
-        jw.field("pp_imbalance_v1", p.pp_imbalance_v1);
+        jw.field("interaction_imbalance", p.interaction_imbalance);
         jw.field("pool_imbalance", p.pool_imbalance);
-        jw.field("lb_predicted_imbalance", p.predicted_imbalance);
-        jw.field("lb_donated_groups", p.donated_groups);
-        jw.field("lb_donated_interactions", p.donated_interactions);
         jw.end_object();
       }
       jw.end_array();

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   cfg.eps = 0.03 / static_cast<double>(n_per_dim);
   cfg.metric.comoving = true;
   cfg.metric.cosmology = cosmos;
-  cfg.cost_metric = core::CostMetric::kInteractions;  // bit-reproducible runs
 
   // Integrate z = 400 -> 31 in log(a) on one rank, imaging at the paper's
   // snapshots.

@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
   sim_cfg.eps = cfg.get_double("eps_spacings", 0.03) / static_cast<double>(n_per_dim);
   sim_cfg.metric.comoving = true;
   sim_cfg.metric.cosmology = cosmos;
-  sim_cfg.cost_metric = core::CostMetric::kInteractions;  // bit-reproducible runs
 
   std::vector<core::Particle> final_state;
   parx::run_ranks(1, [&](parx::Comm& world) {

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   cfg.metric.comoving = true;
   cfg.metric.cosmology = cosmos;
   cfg.nsub = 2;
-  cfg.cost_metric = core::CostMetric::kInteractions;  // bit-reproducible runs
 
   // One rank (the analog of a one-process mpirun); parallel_treepm runs
   // the same engine on many.

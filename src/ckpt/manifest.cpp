@@ -66,7 +66,6 @@ void write_manifest(std::ostream& os, const Manifest& m) {
     w.field("n_items", s.n_items);
     w.field("bytes", s.bytes);
     w.field("crc32", s.crc32);
-    w.field_exact("rank_cost", s.rank_cost);
     w.end_object();
   }
   w.end_array();
@@ -145,7 +144,6 @@ std::optional<Manifest> parse_manifest(const std::string& json_text) {
     s.n_items = sv.u64_or("n_items", 0);
     s.bytes = sv.u64_or("bytes", 0);
     s.crc32 = static_cast<std::uint32_t>(sv.u64_or("crc32", 0));
-    s.rank_cost = sv.number_or("rank_cost", 0.0);
     m.shards.push_back(std::move(s));
   }
 

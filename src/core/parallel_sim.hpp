@@ -5,9 +5,11 @@
 //   step = [ domain decomposition + PP cycle ] x nsub  +  one PM cycle,
 //
 // with the 3-D multi-section decomposition re-sampled every cycle using
-// the measured force cost, ghost (boundary) particle exchange for the
-// short-range tree, and the parallel PM with the direct or relay mesh
-// conversion.  Phase timings accumulate under the row names of Table I.
+// the measured force cost (per-group interaction counts, so every run is
+// bitwise reproducible; docs/load-balance.md), ghost (boundary) particle
+// exchange for the short-range tree, and the parallel PM with the direct
+// or relay mesh conversion.  Phase timings accumulate under the row names
+// of Table I.
 //
 // The PM cycle is *pipelined*: it is evaluated at the end of each step (at
 // the same positions the next step's long-range kick needs) alongside the
@@ -26,7 +28,6 @@
 
 #include "core/integrator.hpp"
 #include "core/particle.hpp"
-#include "domain/donation.hpp"
 #include "domain/multisection.hpp"
 #include "domain/sampling.hpp"
 #include "parx/comm.hpp"
@@ -39,22 +40,8 @@
 
 namespace greem::core {
 
-/// What feeds the cost-weighted domain sampling.  kWallTime follows the
-/// paper (the measured traversal+force seconds of the previous cycle) but
-/// is run-to-run nondeterministic; kInteractions uses the traversal
-/// interaction count, which is bit-reproducible and makes whole runs --
-/// including checkpoint/restore round trips -- bitwise deterministic.
-enum class CostMetric { kWallTime, kInteractions };
-
-/// How the cost feeding the sampling rates is resolved spatially
-/// (docs/load-balance.md).  kRankCost is load-balance v1: one scalar per
-/// rank (the paper's measured force time), uniform sampling within the
-/// rank.  kGroupCost is v2: the per-group tree::GroupCost attribution is
-/// scattered onto each group's particles (Particle::lb_w) and used as
-/// per-particle sampling weights, so the cuts move toward where the work
-/// sits *inside* a domain.  Changes the cuts and therefore the dynamics:
-/// part of config_fingerprint.
-enum class LoadBalanceMode { kRankCost, kGroupCost };
+/// Used only by perfbench/ (it sets cost_metric); goes away with the next benchmark change.
+enum class CostMetric { kInteractions };
 
 /// Per-step invariant sentinel: a cheap collective check that converts
 /// silent state corruption (a bit flip that slipped past the transport
@@ -93,16 +80,8 @@ struct ParallelSimConfig {
   domain::SamplingParams sampling;
   TimeMetric metric;
   int nsub = 2;
-  CostMetric cost_metric = CostMetric::kWallTime;
-  LoadBalanceMode lb_mode = LoadBalanceMode::kGroupCost;
-
-  /// Inter-rank work donation for tail groups (docs/load-balance.md).
-  /// Excluded from config_fingerprint: donation relocates kernel
-  /// evaluations without changing any arithmetic, so ON and OFF produce
-  /// bitwise-identical snapshots (like `overlap`) and checkpoints move
-  /// freely between settings.  Must be set identically on every rank (the
-  /// donation exchange is collective).  Inactive under kNewtonQuad.
-  domain::DonationConfig donation;
+  /// Set only by perfbench/, read by nothing; goes away with the next benchmark change.
+  CostMetric cost_metric = CostMetric::kInteractions;
 
   /// Overlap the PM cycle's conversions and FFT with the final substep's
   /// PP ghost exchange and tree build (paper §II-B runs the two parts
@@ -176,9 +155,8 @@ class ParallelSimulation {
   /// Collective: write a checkpoint of the current state under `dir`,
   /// pruning to the newest `keep_last` committed checkpoints (0 = keep
   /// all).  Restoring it reproduces this simulation bitwise -- including a
-  /// pending long-range half-kick and the domain-decomposition history --
-  /// provided cost_metric is kInteractions (wall-time cost weighting is
-  /// inherently nondeterministic).  Throws ckpt::CkptError on failure.
+  /// pending long-range half-kick and the domain-decomposition history.
+  /// Throws ckpt::CkptError on failure.
   void checkpoint(const std::string& dir, std::size_t keep_last = 2);
 
   /// Collective: replace the full simulation state with the committed
@@ -219,17 +197,12 @@ class ParallelSimulation {
     std::size_t n_ghost_imported = 0;
     /// Per-group cost attribution of the final PP cycle (walk/force
     /// seconds, interactions, ghost imports per group) -- rank-local, in
-    /// tree.groups(ncrit) order; the load-balance v2 input.
+    /// tree.groups(ncrit) order; the load-balance input.
     std::vector<tree::GroupCost> pp_group_costs;
-    /// Work-donation activity, accumulated over the step's PP cycles
-    /// (donor-side counts; every rank sees the same plan, so the transfer
-    /// list is identical everywhere).
+    /// Always 0, read only by perfbench/; goes away with the next benchmark change.
     std::uint64_t donated_groups = 0;
+    /// Always 0, read only by perfbench/; goes away with the next benchmark change.
     std::uint64_t donated_interactions = 0;
-    std::vector<domain::DonationTransfer> donation_transfers;
-    /// max/mean of the published per-rank predicted costs that fed the
-    /// last donation plan (0 until costs have been published).
-    double predicted_imbalance = 0;
     OverlapStats overlap;            ///< final-substep combined force cycle
     /// Global traffic per phase bucket, accumulated from ledger epochs.
     /// Observed on rank 0 only (the ledger is global); empty elsewhere
@@ -261,16 +234,6 @@ class ParallelSimulation {
   /// to the blocking exchange), builds the tree and computes acc_s.
   GhostWork pp_start();
   void pp_finish(GhostWork& g);
-  /// Collective donation exchange inside pp_finish: ship the deferred
-  /// groups assigned by `plan`, evaluate inbound requests, gather
-  /// accelerations back, and evaluate unassigned leftovers locally.
-  void donation_cycle(const tree::Octree& octree, const tree::TraversalParams& tp,
-                      std::size_t n_local, std::vector<tree::DeferredGroup>& deferred,
-                      const domain::DonationPlan& plan, std::span<Vec3> acc);
-  /// Collective: publish this rank's deterministic PP cost (summed group
-  /// interactions) for the next cycle's donation plan; updates
-  /// report_.predicted_imbalance.
-  void publish_rank_costs();
   /// Exactly pp_start + pp_finish under one traffic epoch.
   void pp_force_cycle();
 
@@ -299,13 +262,6 @@ class ParallelSimulation {
   std::vector<Particle> particles_;
   double clock_;
   double pending_long_kick_ = 0;
-  double last_force_cost_ = -1;  ///< <0: use particle count as proxy
-  /// Published per-rank predicted PP costs (interaction counts) from the
-  /// previous PP cycle; input to the donation plan.  Empty until the first
-  /// cycle publishes, and deliberately NOT checkpointed: a restored run's
-  /// first cycle simply runs without donation (placement may differ from
-  /// the uninterrupted run, the result bits never do).
-  std::vector<std::uint64_t> rank_pred_;
   std::uint64_t substep_counter_ = 0;
   std::uint64_t step_counter_ = 0;
   StepReport report_;
@@ -321,8 +277,8 @@ class ParallelSimulation {
 };
 
 /// Stable digest of every config field that affects the dynamics (rank
-/// grid, force/integration parameters, PM setup, sampling seed, cost
-/// metric, cosmology).  Recorded in checkpoint manifests and verified on
+/// grid, force/integration parameters, PM setup, sampling seed,
+/// cosmology).  Recorded in checkpoint manifests and verified on
 /// restore, so a checkpoint cannot silently resume under different
 /// physics.  Reporting/paths (step_report_path, restore_from,
 /// pool_threads) are excluded.

@@ -23,10 +23,10 @@ struct Particle {
   /// checkpoints with the particle, like acc_s.
   Vec3 acc_l;
   double mass = 0;
-  /// Predicted short-range work share (load-balance v2): the per-particle
-  /// slice of its Barnes group's measured cost, scattered after each PP
-  /// cycle and consumed as this particle's sampling weight by the next
-  /// domain decomposition.  Migrates and checkpoints with the particle so
+  /// Predicted short-range work share: the per-particle slice of its
+  /// Barnes group's interaction count, scattered after each PP cycle and
+  /// consumed as this particle's sampling weight by the next domain
+  /// decomposition.  Migrates and checkpoints with the particle so
   /// cuts stay reproducible across exchanges and restarts.
   double lb_w = 0;
   std::uint64_t id = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 namespace greem::domain {
 
@@ -170,21 +169,6 @@ std::vector<std::size_t> apportion_samples(std::span<const double> weights,
   return alloc;
 }
 
-std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k, Rng& rng) {
-  k = std::min(k, n);
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  // Partial Fisher-Yates: after i swaps the prefix [0, i) is a uniform
-  // k-subset drawn without replacement.
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + rng.uniform_index(n - i);
-    std::swap(idx[i], idx[j]);
-  }
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end());
-  return idx;
-}
-
 std::vector<std::size_t> sample_weighted_without_replacement(std::span<const double> weights,
                                                              std::size_t k, Rng& rng) {
   const std::size_t n = weights.size();
@@ -213,22 +197,6 @@ std::vector<std::size_t> sample_weighted_without_replacement(std::span<const dou
   for (std::size_t i = 0; i < k; ++i) selected.push_back(keys[i].second);
   std::sort(selected.begin(), selected.end());
   return selected;
-}
-
-Decomposition sample_and_decompose(parx::Comm& comm, std::array<int, 3> dims,
-                                   std::span<const Vec3> local_pos, double local_cost,
-                                   const SamplingParams& params, std::uint64_t step) {
-  auto quotas = collect_quotas(comm, std::max(local_cost, 0.0), local_pos.size(),
-                               params.target_samples);
-  const std::size_t want = quotas[static_cast<std::size_t>(comm.rank())];
-
-  Rng rng(params.seed + step, static_cast<std::uint64_t>(comm.rank()));
-  auto picks = sample_without_replacement(local_pos.size(), want, rng);
-  std::vector<Vec3> mine;
-  mine.reserve(picks.size());
-  for (std::size_t i : picks) mine.push_back(local_pos[i]);
-
-  return gather_build_bcast(comm, dims, mine);
 }
 
 Decomposition sample_and_decompose_weighted(parx::Comm& comm, std::array<int, 3> dims,

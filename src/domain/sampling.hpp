@@ -5,14 +5,10 @@
 // builds a multi-section decomposition with equal sample counts per
 // domain, so expensive regions get smaller domains.
 //
-// Two cost models feed the rates (docs/load-balance.md):
-//   - sample_and_decompose: one scalar cost per rank (load-balance v1, the
-//     paper's measured force time); particles are sampled uniformly within
-//     the rank.
-//   - sample_and_decompose_weighted: one weight per particle (load-balance
-//     v2, derived from the per-group tree::GroupCost attribution), so the
-//     sample density follows where the work actually sits inside a domain,
-//     not just how much of it each rank holds.
+// The cost is resolved per particle (docs/load-balance.md): every particle
+// carries its share of its Barnes group's interaction count, so the sample
+// density follows where the work sits inside a domain, not just how much
+// of it each rank holds.
 //
 // Per-rank sample quotas use largest-remainder apportionment with a
 // >= 1-sample floor for every rank that holds particles: gathered totals
@@ -48,37 +44,25 @@ std::vector<std::size_t> apportion_samples(std::span<const double> weights,
                                            std::span<const std::size_t> capacities,
                                            std::size_t target);
 
-/// Choose `k` distinct indices out of [0, n) by a partial Fisher-Yates
-/// shuffle (sampling *without* replacement -- duplicates would skew the
-/// equal-count multisection cuts).  Returned in increasing order;
-/// deterministic for a given rng state.  k is clamped to n.
-std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k, Rng& rng);
-
 /// Weighted sampling without replacement (Efraimidis-Spirakis): draw `k`
 /// distinct indices with inclusion probability increasing in weights[i],
-/// via the key u^(1/w) order statistic.  Zero/negative-weight items are
+/// via the key u^(1/w) order statistic (duplicates would skew the
+/// equal-count multisection cuts).  Zero/negative-weight items are
 /// only drawn once every positive-weight item is exhausted.  Returned in
 /// increasing order; deterministic for a given rng state (ties break by
 /// index).  k is clamped to weights.size().
 std::vector<std::size_t> sample_weighted_without_replacement(std::span<const double> weights,
                                                              std::size_t k, Rng& rng);
 
-/// Collective: sample local particles (rank quota proportional to
-/// local_cost over the allgathered total), gather at root (rank 0), build
-/// the decomposition there and broadcast it.  `local_cost` is the measured
-/// force cost of this rank for the previous cycle (use nlocal as a proxy
-/// before the first measurement).  Within the rank, samples are drawn
-/// uniformly without replacement.
-Decomposition sample_and_decompose(parx::Comm& comm, std::array<int, 3> dims,
-                                   std::span<const Vec3> local_pos, double local_cost,
-                                   const SamplingParams& params, std::uint64_t step);
-
-/// Collective: as above, but with one non-negative cost weight per local
-/// particle (load-balance v2: tree::GroupCost scattered onto the group's
-/// members).  The rank quota follows the summed weights and the samples
-/// within the rank are drawn weighted-without-replacement, so expensive
-/// subregions of a domain are over-sampled and therefore shrunk.
-/// `weights.size()` must equal `local_pos.size()`.
+/// Collective: sample local particles, gather the samples at the root
+/// (rank 0), build the decomposition there and broadcast it.  `weights`
+/// holds one non-negative cost per local particle (tree::GroupCost
+/// scattered onto the group's members); the rank quota follows the summed
+/// weights and the samples within the rank are drawn
+/// weighted-without-replacement, so expensive subregions of a domain are
+/// over-sampled and therefore shrunk.  All-zero weights (before the first
+/// force cycle) give uniform-density sampling.  `weights.size()` must
+/// equal `local_pos.size()`.
 Decomposition sample_and_decompose_weighted(parx::Comm& comm, std::array<int, 3> dims,
                                             std::span<const Vec3> local_pos,
                                             std::span<const double> weights,

@@ -68,13 +68,6 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
   w.field("inflight_seconds", r.overlap_inflight_seconds);
   w.field("fraction", r.overlap_fraction);
   w.end_object();
-  if (r.lb_predicted_imbalance > 0 || r.lb_donated_groups > 0) {
-    w.key("lb").begin_object();
-    w.field("predicted_imbalance", r.lb_predicted_imbalance);
-    w.field("donated_groups", r.lb_donated_groups);
-    w.field("donated_interactions", r.lb_donated_interactions);
-    w.end_object();
-  }
   if (!r.pp_groups.empty()) {
     w.key("pp_groups").begin_array();
     for (const auto& g : r.pp_groups) {

@@ -90,23 +90,17 @@ struct Walker {
 TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
                              std::size_t n_targets, std::span<Vec3> acc,
                              std::span<const Vec3> image_offsets, TraversalTimes* times,
-                             std::vector<GroupCost>* group_costs,
-                             std::uint64_t defer_min_interactions,
-                             std::vector<DeferredGroup>* deferred) {
+                             std::vector<GroupCost>* group_costs) {
   static const Vec3 kHome{0, 0, 0};
   if (image_offsets.empty()) image_offsets = {&kHome, 1};
 
   telemetry::Span span("tree/traversal_force");
   TraversalStats stats;
   if (group_costs) group_costs->clear();
-  if (deferred) deferred->clear();
   if (tree.num_particles() == 0) return stats;
 
   const auto group_nodes = tree.groups(params.ncrit);
   const bool quad = params.kernel == KernelKind::kNewtonQuad;
-  // Quadrupole lists carry node moments that the donation wire format does
-  // not ship; donation is simply inactive under kNewtonQuad.
-  const bool may_defer = deferred && !quad;
   if (group_costs) group_costs->assign(group_nodes.size(), GroupCost{});
   // Ghost attribution only pays its per-source index lookup when ghosts
   // can exist at all (parallel ranks importing sources beyond n_targets).
@@ -126,7 +120,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     std::vector<Vec3> group_acc;
     pp::InteractionList list;
     std::vector<pp::QuadSource> quad_nodes;
-    std::vector<DeferredGroup> deferred;
   };
   std::vector<SlotScratch> scratch(max_parallel_slots());
 
@@ -181,17 +174,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       }
       if (ni_targets == 0) continue;
 
-      // Donation deferral: capture the finished interaction list instead of
-      // evaluating.  The predicate uses only this group's deterministic
-      // interaction count, so the deferred set is pool-size invariant;
-      // force_s stays 0 in the cost record until the donor patches it.
-      if (may_defer && ni_targets * nj >= defer_min_interactions) {
-        sc.deferred.push_back({static_cast<std::uint32_t>(gidx), g.first, g.count,
-                               ni_targets * nj, std::move(list)});
-        list.clear();
-        continue;
-      }
-
       sw.restart();
       group_acc.assign(g.count, Vec3{});
       const std::span<const Vec3> targets = tree.sorted_pos().subspan(g.first, g.count);
@@ -230,13 +212,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
     stats.merge(sc.stats);
     traverse_s += sc.traverse_s;
     force_s += sc.force_s;
-    if (deferred)
-      for (DeferredGroup& d : sc.deferred) deferred->push_back(std::move(d));
   }
-  // Canonical order regardless of which slot deferred which group.
-  if (deferred)
-    std::sort(deferred->begin(), deferred->end(),
-              [](const DeferredGroup& a, const DeferredGroup& b) { return a.gidx < b.gidx; });
 
   if (times) {
     times->traverse_s += traverse_s;
@@ -279,19 +255,15 @@ void TraversalStats::merge(const TraversalStats& o) {
 TraversalStats tree_accelerations(const Octree& tree, const TraversalParams& params,
                                   std::span<Vec3> acc, std::span<const Vec3> image_offsets,
                                   TraversalTimes* times) {
-  return run_traversal(tree, params, tree.num_particles(), acc, image_offsets, times, nullptr,
-                       std::numeric_limits<std::uint64_t>::max(), nullptr);
+  return run_traversal(tree, params, tree.num_particles(), acc, image_offsets, times, nullptr);
 }
 
 TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalParams& params,
                                           std::size_t n_targets, std::span<Vec3> acc,
                                           std::span<const Vec3> image_offsets,
                                           TraversalTimes* times,
-                                          std::vector<GroupCost>* group_costs,
-                                          std::uint64_t defer_min_interactions,
-                                          std::vector<DeferredGroup>* deferred) {
-  return run_traversal(tree, params, n_targets, acc, image_offsets, times, group_costs,
-                       defer_min_interactions, deferred);
+                                          std::vector<GroupCost>* group_costs) {
+  return run_traversal(tree, params, n_targets, acc, image_offsets, times, group_costs);
 }
 
 TraversalStats tree_potentials(const Octree& tree, const TraversalParams& params,

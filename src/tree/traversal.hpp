@@ -73,21 +73,6 @@ struct GroupCost {
   double half = 0;
 };
 
-/// A group whose kernel evaluation was deferred for inter-rank work
-/// donation: the walk already ran (its interaction list is captured here,
-/// un-padded), but no forces were computed.  The donor ships the group's
-/// targets plus this list to a donee, or evaluates it locally if the
-/// donation plan leaves it unassigned.  Deferral decisions depend only on
-/// each group's own deterministic interaction count, so the deferred set is
-/// identical for every pool size.
-struct DeferredGroup {
-  std::uint32_t gidx = 0;          ///< index in tree.groups(ncrit) order
-  std::uint32_t first = 0;         ///< first sorted-order particle of the group
-  std::uint32_t count = 0;         ///< group size (targets + ghosts)
-  std::uint64_t interactions = 0;  ///< ni_targets * nj
-  pp::InteractionList list;        ///< captured interaction list (no pad4)
-};
-
 /// Compute accelerations of all tree particles, accumulated into `acc`
 /// indexed by the *caller's original* particle indexing.
 ///
@@ -104,20 +89,11 @@ TraversalStats tree_accelerations(const Octree& tree, const TraversalParams& par
 /// counts in the stats include only target particles.  When `group_costs`
 /// is non-null it is resized to the group count and filled with one
 /// per-group cost record (deterministic content modulo the timings).
-///
-/// When `deferred` is non-null, groups whose ni * nj is at least
-/// `defer_min_interactions` skip kernel evaluation; their interaction
-/// lists are returned in `deferred` (sorted by gidx) for the donation
-/// phase, and their GroupCost force_s stays 0 until the caller patches it.
-/// Deferral is skipped for kNewtonQuad (quadrupole lists do not ship).
 TraversalStats tree_accelerations_targets(const Octree& tree, const TraversalParams& params,
                                           std::size_t n_targets, std::span<Vec3> acc,
                                           std::span<const Vec3> image_offsets = {},
                                           TraversalTimes* times = nullptr,
-                                          std::vector<GroupCost>* group_costs = nullptr,
-                                          std::uint64_t defer_min_interactions =
-                                              std::numeric_limits<std::uint64_t>::max(),
-                                          std::vector<DeferredGroup>* deferred = nullptr);
+                                          std::vector<GroupCost>* group_costs = nullptr);
 
 /// Short-range potentials (-G m h(2r/rcut)/r summed over the interaction
 /// list) for all tree particles, accumulated into `pot` indexed by the

@@ -219,7 +219,7 @@ Manifest sample_manifest() {
   m.state.smoother_history = {{0.1, 0.2}, {0.3, 0.4}};
   for (int r = 0; r < 4; ++r)
     m.shards.push_back({r, "shard_0000" + std::to_string(r) + ".bin", 100 + r, 9600,
-                        0xABCD0000u + r, 1e-3 * r});
+                        0xABCD0000u + r});
   return m;
 }
 
@@ -264,9 +264,10 @@ TEST(Manifest, RejectsGarbageAndInconsistency) {
 
   // A future version is rejected (no silent misinterpretation).
   std::string json = manifest_to_json(m);
-  const auto at = json.find("\"version\": 1");
+  const std::string current = "\"version\": " + std::to_string(kManifestVersion);
+  const auto at = json.find(current);
   ASSERT_NE(at, std::string::npos);
-  json.replace(at, 12, "\"version\": 9");
+  json.replace(at, current.size(), "\"version\": 9");
   EXPECT_FALSE(parse_manifest(json).has_value());
 }
 
@@ -284,9 +285,6 @@ ParallelSimConfig deterministic_config(std::array<int, 3> dims) {
   cfg.ncrit = 32;
   cfg.eps = 1e-3;
   cfg.sampling.target_samples = 2000;
-  // Interaction-count cost weighting: the one config change that makes the
-  // whole run (and therefore checkpoint round trips) bitwise reproducible.
-  cfg.cost_metric = core::CostMetric::kInteractions;
   return cfg;
 }
 
@@ -398,11 +396,18 @@ TEST(Ckpt, CorruptShardFailsLoudlyOnEveryRank) {
   run_sim({2, 1, 1}, initial, 2, 0.004, &dir, 2);
   const auto latest = find_latest(dir);
   ASSERT_TRUE(latest.has_value());
+  // Each damage goes into its own copy of the committed checkpoint.
+  const auto copy_of = [&](const std::string& name) {
+    const std::string path = dir + "/" + name;
+    fs::copy(*latest, path, fs::copy_options::recursive);
+    return path;
+  };
 
   // Flip one payload byte in rank 1's shard.
-  const std::string shard = *latest + "/shard_00001.bin";
+  const std::string flipped = copy_of("flipped");
   {
-    std::fstream f(shard, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(flipped + "/shard_00001.bin",
+                   std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
     f.seekg(0, std::ios::end);
     const auto size = f.tellg();
@@ -415,11 +420,26 @@ TEST(Ckpt, CorruptShardFailsLoudlyOnEveryRank) {
     f.write(&b, 1);
   }
 
-  parx::run_ranks(2, [&](parx::Comm& world) {
-    // The CRC mismatch is detected by rank 1 but thrown on every rank
-    // (collective agreement), so no rank proceeds with stale state.
-    EXPECT_THROW(read_checkpoint(world, *latest), CkptError);
-  });
+  // Stamp rank 0's shard header (right after the 8-byte magic) with format
+  // version 1, the older layout that still carried a per-rank cost.
+  const std::string old_format = copy_of("old_format");
+  {
+    std::fstream f(old_format + "/shard_00000.bin",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const std::uint32_t v1 = 1;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&v1), sizeof v1);
+  }
+
+  for (const std::string& path : {flipped, old_format}) {
+    SCOPED_TRACE(path);
+    parx::run_ranks(2, [&](parx::Comm& world) {
+      // The damage is detected by one rank but thrown on every rank
+      // (collective agreement), so no rank proceeds with stale state.
+      EXPECT_THROW(read_checkpoint(world, path), CkptError);
+    });
+  }
 }
 
 TEST(Ckpt, UncommittedCheckpointIsInvisible) {

@@ -217,21 +217,7 @@ TEST(Apportionment, AllZeroWeightsFallBackToCapacities) {
   EXPECT_GT(q[2], q[0]);  // uniform density: bigger rank, more samples
 }
 
-// -------------------------------------------- sampling without replacement --
-
-TEST(Sampling, WithoutReplacementIsDistinct) {
-  Rng rng(99);
-  const auto idx = sample_without_replacement(1000, 200, rng);
-  ASSERT_EQ(idx.size(), 200u);
-  for (std::size_t i = 1; i < idx.size(); ++i)
-    EXPECT_LT(idx[i - 1], idx[i]);  // strictly increasing => distinct
-  for (std::size_t i : idx) EXPECT_LT(i, 1000u);
-  // k == n returns every index exactly once.
-  Rng rng2(99);
-  const auto all = sample_without_replacement(50, 50, rng2);
-  ASSERT_EQ(all.size(), 50u);
-  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
-}
+// ----------------------------------------------------- weighted sampling --
 
 TEST(Sampling, WeightedWithoutReplacementPrefersHeavyItems) {
   std::vector<double> w(100, 1.0);
@@ -255,9 +241,10 @@ TEST(Sampling, FullRateSamplingGivesEqualCountCuts) {
                                       40 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local;
     for (const auto& p : ps) local.push_back(p.pos);
+    const std::vector<double> w(local.size(), 1.0);
     SamplingParams sp;
     sp.target_samples = 12000;  // == global N: every particle is a sample
-    const auto d = sample_and_decompose(comm, {2, 2, 1}, local, 1.0, sp, 0);
+    const auto d = sample_and_decompose_weighted(comm, {2, 2, 1}, local, w, sp, 0);
     std::vector<double> counts(4, 0.0);
     for (const auto& p : local) counts[static_cast<std::size_t>(d.find_domain(p))] += 1;
     comm.allreduce_sum(std::span<double>(counts));
@@ -293,9 +280,9 @@ TEST(Sampling, EmptyAndZeroWeightRanksStayConsistent) {
 }
 
 TEST(Sampling, PerParticleWeightsShrinkExpensiveRegions) {
-  // Load-balance v2: both ranks hold uniform particles, but the work sits
-  // at x < 0.25.  The scalar-cost path cannot see this (equal rank costs
-  // leave the cut near 0.5); per-particle weights pull the cut left.
+  // Both ranks hold uniform particles, but the work sits at x < 0.25.
+  // Unit weights (equal cost everywhere) leave the cut near 0.5;
+  // per-particle weights pull it left.
   parx::run_ranks(2, [](parx::Comm& comm) {
     Rng rng(70 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local(3000);
@@ -308,8 +295,9 @@ TEST(Sampling, PerParticleWeightsShrinkExpensiveRegions) {
     sp.target_samples = 3000;
     const auto d = sample_and_decompose_weighted(comm, {2, 1, 1}, local, w, sp, 1);
     EXPECT_LT(d.xcuts[1], 0.4);
-    const auto ds = sample_and_decompose(comm, {2, 1, 1}, local, 1.0, sp, 1);
-    EXPECT_GT(ds.xcuts[1], 0.45);  // scalar cost: cut stays near the middle
+    const std::vector<double> unit(local.size(), 1.0);
+    const auto du = sample_and_decompose_weighted(comm, {2, 1, 1}, local, unit, sp, 1);
+    EXPECT_GT(du.xcuts[1], 0.45);  // unit weights: cut stays near the middle
   });
 }
 
@@ -318,9 +306,10 @@ TEST(Sampling, CollectiveDecompositionIsConsistentAcrossRanks) {
     Rng rng(10 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local(500);
     for (auto& p : local) p = {rng.uniform(), rng.uniform(), rng.uniform()};
+    const std::vector<double> w(local.size(), 1.0);
     SamplingParams sp;
     sp.target_samples = 400;
-    const auto d = sample_and_decompose(comm, {2, 2, 1}, local, 1.0, sp, 3);
+    const auto d = sample_and_decompose_weighted(comm, {2, 2, 1}, local, w, sp, 3);
     // All ranks hold the same decomposition.
     const auto flat = d.flatten();
     auto flat0 = flat;
@@ -334,7 +323,8 @@ TEST(Sampling, CollectiveDecompositionIsConsistentAcrossRanks) {
 }
 
 TEST(Sampling, CostWeightingOversamplesExpensiveRanks) {
-  // Rank 0 reports 9x the cost of the others; its domain should shrink.
+  // Rank 0's particles each cost 3x those of rank 1; its domain should
+  // shrink.
   parx::run_ranks(2, [](parx::Comm& comm) {
     Rng rng(20 + static_cast<std::uint64_t>(comm.rank()));
     std::vector<Vec3> local(2000);
@@ -343,10 +333,10 @@ TEST(Sampling, CostWeightingOversamplesExpensiveRanks) {
       const double x0 = comm.rank() == 0 ? 0.0 : 0.5;
       p = {x0 + 0.5 * rng.uniform(), rng.uniform(), rng.uniform()};
     }
+    const std::vector<double> w(local.size(), comm.rank() == 0 ? 3.0 : 1.0);
     SamplingParams sp;
     sp.target_samples = 2000;
-    const double cost = comm.rank() == 0 ? 9.0 : 1.0;
-    const auto d = sample_and_decompose(comm, {2, 1, 1}, local, cost, sp, 1);
+    const auto d = sample_and_decompose_weighted(comm, {2, 1, 1}, local, w, sp, 1);
     // The x cut moves left of 0.5 so the expensive region gets less volume.
     EXPECT_LT(d.xcuts[1], 0.45);
   });
