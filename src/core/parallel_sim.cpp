@@ -530,6 +530,7 @@ void ParallelSimulation::write_step_record() {
     double* row = table.data() + static_cast<std::size_t>(world_.rank()) * kCols;
     double max_group_s = 0;
     for (const auto& gc : report_.pp_group_costs) {
+      if (gc.ni == 0) continue;  // ghosts only: not walked, no cost
       row[0] += 1;
       row[1] += static_cast<double>(gc.interactions);
       row[2] += static_cast<double>(gc.ghost_sources);

@@ -90,7 +90,7 @@ struct StepRecord {
   /// work sits across ranks, which rank carries the most expensive single
   /// group.  Empty when group costs were not collected.
   struct RankGroups {
-    std::uint64_t groups = 0;         ///< group count on this rank
+    std::uint64_t groups = 0;         ///< groups with targets on this rank
     std::uint64_t interactions = 0;   ///< sum of per-group Ni*Nj
     std::uint64_t ghost_sources = 0;  ///< opened ghost leaf sources
     double walk_s = 0;                ///< summed per-group walk seconds

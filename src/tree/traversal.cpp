@@ -133,6 +133,18 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
 
     for (std::size_t gidx = lo; gidx < hi; ++gidx) {
       const TreeNode& g = tree.nodes()[group_nodes[gidx]];
+      // Per-group cost record: slot gidx is this group's regardless of
+      // which pool slot ran it, so the output is deterministically indexed.
+      GroupCost* gc = group_costs ? &(*group_costs)[gidx] : nullptr;
+      if (gc) gc->node = group_nodes[gidx];
+
+      // Count only targets (locals) toward the paper's statistics.  A group
+      // of ghosts alone has no force to compute: skip its walk, and leave
+      // its cost record zero apart from the node.
+      std::uint64_t ni_targets = 0;
+      for (std::uint32_t i = g.first; i < g.first + g.count; ++i)
+        if (tree.original_index(i) < n_targets) ++ni_targets;
+      if (ni_targets == 0) continue;
 
       sw.restart();
       list.clear();
@@ -149,21 +161,13 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       const double walk_s = sw.seconds();
       sc.traverse_s += walk_s;
 
-      // Count only targets (locals) toward the paper's statistics.
-      std::uint64_t ni_targets = 0;
-      for (std::uint32_t i = g.first; i < g.first + g.count; ++i)
-        if (tree.original_index(i) < n_targets) ++ni_targets;
       ++local_stats.ngroups;
       local_stats.sum_ni += ni_targets;
       local_stats.sum_nj += nj;
       local_stats.interactions += ni_targets * nj;
       local_stats.ghost_sources += walker.ghost_sources;
 
-      // Per-group cost record: slot gidx is this group's regardless of
-      // which pool slot ran it, so the output is deterministically indexed.
-      GroupCost* gc = group_costs ? &(*group_costs)[gidx] : nullptr;
       if (gc) {
-        gc->node = group_nodes[gidx];
         gc->ni = static_cast<std::uint32_t>(ni_targets);
         gc->nj = nj;
         gc->interactions = ni_targets * nj;
@@ -172,7 +176,6 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
         gc->center = g.center;
         gc->half = g.half;
       }
-      if (ni_targets == 0) continue;
 
       sw.restart();
       group_acc.assign(g.count, Vec3{});

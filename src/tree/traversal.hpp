@@ -34,7 +34,7 @@ struct TraversalParams {
 };
 
 struct TraversalStats {
-  std::uint64_t ngroups = 0;
+  std::uint64_t ngroups = 0;       ///< groups with at least one target
   std::uint64_t sum_ni = 0;        ///< total targets over groups
   std::uint64_t sum_nj = 0;        ///< total interaction-list length over groups
   std::uint64_t interactions = 0;  ///< sum Ni * Nj
@@ -61,6 +61,7 @@ struct TraversalTimes {
 /// tree.groups(ncrit) order -- the input the load-balance roadmap item
 /// needs (which spatial regions cost what).  Every field except the two
 /// timings is deterministic: independent of pool size and scheduling.
+/// A group of ghosts alone is not walked: its record is zero but `node`.
 struct GroupCost {
   std::uint32_t node = 0;  ///< group node index into tree.nodes()
   std::uint32_t ni = 0;    ///< target (local) particles in the group
