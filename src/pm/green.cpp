@@ -1,10 +1,14 @@
 #include "pm/green.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <numbers>
+#include <utility>
 
 #include "fft/fft3d.hpp"
 #include "pp/cutoff.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace greem::pm {
 namespace {
@@ -27,18 +31,23 @@ double axis_window(double k, double h, int power) {
   return w;
 }
 
-/// Reference force spectrum component a: r_a(k) = 4 pi G k_a s2^2 / k^2.
-double ref_force(double ka, double k2, double rcut, double G) {
-  if (k2 <= 0) return 0.0;
-  const double s2 = pp::s2_fourier(std::sqrt(k2) * rcut / 2.0);
-  return 4.0 * std::numbers::pi * G * ka * s2 * s2 / k2;
+/// |k| per axis sorted descending: the canonical representative of the
+/// 48 signed axis permutations of (kx, ky, kz), under which G is invariant.
+struct Sorted {
+  long a, b, c;
+};
+
+Sorted canonical(long kx, long ky, long kz) {
+  long a = std::abs(kx), b = std::abs(ky), c = std::abs(kz);
+  if (a < b) std::swap(a, b);
+  if (b < c) std::swap(b, c);
+  if (a < b) std::swap(a, b);
+  return {a, b, c};
 }
 
-}  // namespace
-
-double green_potential(const GreenParams& p, long kx, long ky, long kz) {
-  if (kx == 0 && ky == 0 && kz == 0) return 0.0;
-  const double k2 = kTwoPi * kTwoPi * static_cast<double>(kx * kx + ky * ky + kz * kz);
+double potential_sorted(const GreenParams& p, const Sorted& s) {
+  if (s.a == 0) return 0.0;
+  const double k2 = kTwoPi * kTwoPi * static_cast<double>(s.a * s.a + s.b * s.b + s.c * s.c);
   const double k = std::sqrt(k2);
   // The S2 shape factor enters squared: the sources are S2-smeared and the
   // force on each particle is averaged over its own S2 cloud, so the pair
@@ -47,86 +56,154 @@ double green_potential(const GreenParams& p, long kx, long ky, long kz) {
   const double s2 = pp::s2_fourier(k * p.rcut / 2.0);
   double g = -4.0 * std::numbers::pi * p.G / k2 * s2 * s2;
   if (p.deconv_power > 0) {
-    double w = window(p.scheme, kx, p.n_mesh) * window(p.scheme, ky, p.n_mesh) *
-               window(p.scheme, kz, p.n_mesh);
+    double w = window(p.scheme, s.a, p.n_mesh) * window(p.scheme, s.b, p.n_mesh) *
+               window(p.scheme, s.c, p.n_mesh);
     for (int i = 0; i < p.deconv_power; ++i) g /= w;
   }
   return g;
 }
 
-double green_optimal(const GreenParams& p, long kx, long ky, long kz) {
-  if (kx == 0 && ky == 0 && kz == 0) return 0.0;
+double optimal_sorted(const GreenParams& p, const Sorted& s) {
+  if (s.a == 0) return 0.0;
   const auto n = static_cast<double>(p.n_mesh);
   const double h = 1.0 / n;
   const int wp = support(p.scheme);
-  const double k[3] = {kTwoPi * static_cast<double>(kx), kTwoPi * static_cast<double>(ky),
-                       kTwoPi * static_cast<double>(kz)};
+  const double k[3] = {kTwoPi * static_cast<double>(s.a), kTwoPi * static_cast<double>(s.b),
+                       kTwoPi * static_cast<double>(s.c)};
 
   const double d[3] = {fd_transfer(k[0], h), fd_transfer(k[1], h), fd_transfer(k[2], h)};
   const double d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
   if (d2 <= 0) return 0.0;  // Nyquist-only mode: the FD cannot act on it
 
-  // Alias sums: k_n = k + 2 pi N m, m in [-range, range]^3.
+  // Alias images k_n = k + 2 pi N m, m in [-range, range]^3, built from
+  // per-axis wavenumbers and windows.  The reference force spectrum
+  // r_a(k_n) = 4 pi G k_a s2(|k_n| rcut/2)^2 / |k_n|^2 shares its S2 factor
+  // across the three components, so it is evaluated once per image.
+  const int na = 2 * p.alias_range + 1;
   const double ks = kTwoPi * n;
-  double usum = 0;          // sum U^2
+  std::vector<double> ak(3 * static_cast<std::size_t>(na)), uk(ak.size());
+  for (int axis = 0; axis < 3; ++axis)
+    for (int m = 0; m < na; ++m) {
+      const std::size_t i = static_cast<std::size_t>(axis * na + m);
+      ak[i] = k[axis] + ks * (m - p.alias_range);
+      uk[i] = axis_window(ak[i], h, wp);
+    }
+  const double* ax = ak.data();
+  const double* ay = ax + na;
+  const double* az = ay + na;
+  const double* ux = uk.data();
+  const double* uy = ux + na;
+  const double* uz = uy + na;
+  const double four_pi_g = 4.0 * std::numbers::pi * p.G;
+
+  double usum = 0;           // sum U^2
   double dr[3] = {0, 0, 0};  // sum U^2 r_a
-  for (int mx = -p.alias_range; mx <= p.alias_range; ++mx) {
-    const double ax = k[0] + ks * mx;
-    const double ux = axis_window(ax, h, wp);
-    for (int my = -p.alias_range; my <= p.alias_range; ++my) {
-      const double ay = k[1] + ks * my;
-      const double uxy = ux * axis_window(ay, h, wp);
-      for (int mz = -p.alias_range; mz <= p.alias_range; ++mz) {
-        const double az = k[2] + ks * mz;
-        const double u = uxy * axis_window(az, h, wp);
+  for (int i = 0; i < na; ++i)
+    for (int j = 0; j < na; ++j) {
+      const double uxy = ux[i] * uy[j];
+      for (int l = 0; l < na; ++l) {
+        const double u = uxy * uz[l];
         const double u2 = u * u;
-        const double k2n = ax * ax + ay * ay + az * az;
         usum += u2;
-        dr[0] += u2 * ref_force(ax, k2n, p.rcut, p.G);
-        dr[1] += u2 * ref_force(ay, k2n, p.rcut, p.G);
-        dr[2] += u2 * ref_force(az, k2n, p.rcut, p.G);
+        const double k2n = ax[i] * ax[i] + ay[j] * ay[j] + az[l] * az[l];
+        if (k2n <= 0) continue;
+        const double s2 = pp::s2_fourier(std::sqrt(k2n) * p.rcut / 2.0);
+        const double f = u2 * four_pi_g * s2 * s2 / k2n;
+        dr[0] += f * ax[i];
+        dr[1] += f * ay[j];
+        dr[2] += f * az[l];
       }
     }
-  }
   const double num = d[0] * dr[0] + d[1] * dr[1] + d[2] * dr[2];
   return -num / (d2 * usum * usum);
 }
 
+double value_sorted(const GreenParams& p, const Sorted& s) {
+  return p.kind == GreenKind::kOptimal ? optimal_sorted(p, s) : potential_sorted(p, s);
+}
+
+/// Table of the configured kind over the z planes [z_begin, z_end), every
+/// row y and the first nx columns x of the n^3 mesh, laid out
+/// ((z - z_begin)*n + y)*nx + x with kx = wavenumber(x, n).  Both callers
+/// (nx = n and nx = n/2 + 1) cover every |kx| and |ky| in [0, n/2].
+///
+/// Each mode class (one canonical triple) is evaluated once.  A needed
+/// triple contains at least one |kz| of the range; its owner is the
+/// largest such component, and it is stored under the owner's row at the
+/// packed index of the two remaining components u >= v, u(u+1)/2 + v.
+/// The index holds (distinct |kz|) x (n/2+1)(n/2+2)/2 entries, so its size
+/// follows the slab, not the whole mesh.
+std::vector<double> build_table(const GreenParams& p, std::size_t z_begin, std::size_t z_end,
+                                std::size_t nx) {
+  const std::size_t n = p.n_mesh;
+  const std::size_t m = n / 2;  // largest |k| per axis
+  std::vector<std::size_t> absk(n);
+  for (std::size_t i = 0; i < n; ++i)
+    absk[i] = static_cast<std::size_t>(std::abs(fft::wavenumber(i, n)));
+
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::size_t> row(m + 1, kNone);  // |kz| -> owner row
+  std::size_t rows = 0;
+  for (std::size_t z = z_begin; z < z_end; ++z)
+    if (row[absk[z]] == kNone) row[absk[z]] = rows++;
+  const std::size_t pairs = (m + 1) * (m + 2) / 2;
+  const auto outranks = [&](std::size_t k, std::size_t owner) {
+    return row[k] != kNone && k > owner;
+  };
+  const auto slot = [&](std::size_t owner, std::size_t u, std::size_t v) {
+    if (outranks(u, owner)) std::swap(owner, u);
+    if (outranks(v, owner)) std::swap(owner, v);
+    if (u < v) std::swap(u, v);
+    return row[owner] * pairs + u * (u + 1) / 2 + v;
+  };
+
+  std::vector<double> values(rows * pairs);
+  std::uint64_t evals = 0;
+  for (std::size_t owner = 0; owner <= m; ++owner) {
+    if (row[owner] == kNone) continue;
+    for (std::size_t u = 0; u <= m; ++u) {
+      if (outranks(u, owner)) continue;
+      for (std::size_t v = 0; v <= u; ++v) {
+        if (outranks(v, owner)) continue;
+        values[slot(owner, u, v)] = value_sorted(
+            p, canonical(static_cast<long>(owner), static_cast<long>(u), static_cast<long>(v)));
+        ++evals;
+      }
+    }
+  }
+  if constexpr (telemetry::enabled())
+    telemetry::Registry::global().counter("pm/green_evals").add(evals);
+
+  std::vector<double> table((z_end - z_begin) * n * nx);
+  for (std::size_t z = z_begin; z < z_end; ++z)
+    for (std::size_t y = 0; y < n; ++y) {
+      double* out = table.data() + ((z - z_begin) * n + y) * nx;
+      for (std::size_t x = 0; x < nx; ++x) out[x] = values[slot(absk[z], absk[y], absk[x])];
+    }
+  return table;
+}
+
+}  // namespace
+
+double green_potential(const GreenParams& p, long kx, long ky, long kz) {
+  return potential_sorted(p, canonical(kx, ky, kz));
+}
+
+double green_optimal(const GreenParams& p, long kx, long ky, long kz) {
+  return optimal_sorted(p, canonical(kx, ky, kz));
+}
+
 double green_value(const GreenParams& p, long kx, long ky, long kz) {
-  return p.kind == GreenKind::kOptimal ? green_optimal(p, kx, ky, kz)
-                                       : green_potential(p, kx, ky, kz);
+  return value_sorted(p, canonical(kx, ky, kz));
 }
 
 std::vector<double> build_green_table_r2c(const GreenParams& p) {
-  const std::size_t n = p.n_mesh;
-  const std::size_t h = n / 2 + 1;
-  std::vector<double> table(h * n * n);
-  for (std::size_t z = 0; z < n; ++z) {
-    const long kz = fft::wavenumber(z, n);
-    for (std::size_t y = 0; y < n; ++y) {
-      const long ky = fft::wavenumber(y, n);
-      for (std::size_t x = 0; x < h; ++x)
-        table[(z * n + y) * h + x] = green_value(p, static_cast<long>(x), ky, kz);
-    }
-  }
-  return table;
+  return build_table(p, 0, p.n_mesh, p.n_mesh / 2 + 1);
 }
 
 std::vector<double> build_green_table(const GreenParams& p, std::size_t z_begin,
                                       std::size_t z_end) {
-  const std::size_t n = p.n_mesh;
-  std::vector<double> table((z_end - z_begin) * n * n);
-  for (std::size_t z = z_begin; z < z_end; ++z) {
-    const long kz = fft::wavenumber(z, n);
-    for (std::size_t y = 0; y < n; ++y) {
-      const long ky = fft::wavenumber(y, n);
-      for (std::size_t x = 0; x < n; ++x) {
-        const long kx = fft::wavenumber(x, n);
-        table[((z - z_begin) * n + y) * n + x] = green_value(p, kx, ky, kz);
-      }
-    }
-  }
-  return table;
+  return build_table(p, z_begin, z_end, p.n_mesh);
 }
 
 }  // namespace greem::pm

@@ -27,6 +27,18 @@
 //
 //    where k_n = k + 2 pi N n are the alias images, r(k) = 4 pi k s2^2/k^2
 //    is the reference force spectrum and d(k) the FD transfer function.
+//    The S2 factor is shared by the three components of r, so it is
+//    evaluated once per image.
+//
+// Symmetry.  Both kinds are even in each component of k and symmetric
+// under permutations of the axes: one value serves the 48 signed axis
+// permutations of a mode.  Every function below sorts (|kx|, |ky|, |kz|)
+// descending before it evaluates, so the symmetry holds bit for bit.  The
+// table builders evaluate each canonical triple n/2 >= a >= b >= c >= 0 the
+// table needs exactly once (C(n/2+3, 3) for a whole mesh: 47,905 against
+// 128^3 modes) and fill every entry by lookup, so each entry is
+// bitwise equal to green_value at its own k.  The telemetry counter
+// "pm/green_evals" counts those evaluations.
 
 #include <cstddef>
 #include <vector>
@@ -51,7 +63,8 @@ struct GreenParams {
 /// each in (-n/2, n/2].
 double green_potential(const GreenParams& p, long kx, long ky, long kz);
 
-/// Optimal influence function at one wavenumber (slow; use the table).
+/// Optimal influence function at one wavenumber (125 alias images at the
+/// default range; use the table).
 double green_optimal(const GreenParams& p, long kx, long ky, long kz);
 
 /// Value of the configured kind at one wavenumber.

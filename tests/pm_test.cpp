@@ -4,16 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <tuple>
 
 #include "core/direct_force.hpp"
 #include "ewald/ewald.hpp"
+#include "fft/fft3d.hpp"
 #include "pm/assign.hpp"
 #include "pm/gradient.hpp"
 #include "pm/green.hpp"
 #include "pm/pm_solver.hpp"
 #include "pp/cutoff.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -184,6 +190,128 @@ TEST(Green, SuppressedAboveCutoffScale) {
   const double low = std::abs(green_potential(gp, 1, 0, 0));
   const double high = std::abs(green_potential(gp, 40, 0, 0));
   EXPECT_LT(high, low * 1e-4);
+}
+
+// The table builders evaluate one value per symmetry class of modes and
+// fill the rest by lookup; green_value sorts |k| before it evaluates.  So
+// every table entry must equal green_value at its own k bit for bit, and
+// green_value must be bitwise invariant under the 48 signed permutations.
+class GreenSymmetry
+    : public ::testing::TestWithParam<std::tuple<GreenKind, std::size_t>> {
+ protected:
+  GreenParams params() const {
+    const auto [kind, n] = GetParam();
+    GreenParams gp{n, 3.0 / static_cast<double>(n), Scheme::kTSC, 2, 1.0};
+    gp.kind = kind;
+    return gp;
+  }
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_P(GreenSymmetry, ValueIsBitwiseInvariantUnderSignedPermutations) {
+  const GreenParams gp = params();
+  const long h = static_cast<long>(gp.n_mesh / 2);
+  std::vector<std::array<long, 3>> ks = {{1, 0, 0}, {h, 0, 0}, {h, h, h}, {h, 1, 0}, {3, 3, 1}};
+  Rng rng(7);
+  for (int i = 0; i < 24; ++i) {
+    std::array<long, 3> k{};
+    for (long& c : k) c = static_cast<long>(rng.uniform() * static_cast<double>(2 * h)) - h + 1;
+    ks.push_back(k);
+  }
+  for (const auto& k : ks) {
+    const double ref = green_value(gp, k[0], k[1], k[2]);
+    std::array<int, 3> perm{0, 1, 2};
+    do {
+      for (int signs = 0; signs < 8; ++signs) {
+        long q[3];
+        for (int a = 0; a < 3; ++a) q[a] = ((signs >> a) & 1 ? -1 : 1) * k[perm[a]];
+        EXPECT_TRUE(same_bits(green_value(gp, q[0], q[1], q[2]), ref))
+            << k[0] << " " << k[1] << " " << k[2] << " -> " << q[0] << " " << q[1] << " "
+            << q[2];
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
+
+TEST_P(GreenSymmetry, SlabTableEntriesAreGreenValues) {
+  const GreenParams gp = params();
+  const std::size_t n = gp.n_mesh;
+  const std::size_t ranges[][2] = {{0, n},         {0, 1},         {n / 2, n / 2 + 1},
+                                   {n - 1, n},     {n / 2 - 1, n / 2 + 2}};
+  for (const auto& r : ranges) {
+    const auto table = build_green_table(gp, r[0], r[1]);
+    ASSERT_EQ(table.size(), (r[1] - r[0]) * n * n);
+    std::size_t bad = 0;
+    for (std::size_t z = r[0]; z < r[1]; ++z)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x) {
+          const double want = green_value(gp, fft::wavenumber(x, n), fft::wavenumber(y, n),
+                                          fft::wavenumber(z, n));
+          if (!same_bits(table[((z - r[0]) * n + y) * n + x], want)) ++bad;
+        }
+    EXPECT_EQ(bad, 0u) << "z range [" << r[0] << ", " << r[1] << ")";
+  }
+}
+
+TEST_P(GreenSymmetry, HalfSpectrumTableEntriesAreGreenValues) {
+  const GreenParams gp = params();
+  const std::size_t n = gp.n_mesh;
+  const std::size_t h = n / 2 + 1;
+  const auto table = build_green_table_r2c(gp);
+  ASSERT_EQ(table.size(), n * n * h);
+  std::size_t bad = 0;
+  for (std::size_t z = 0; z < n; ++z)
+    for (std::size_t y = 0; y < n; ++y)
+      for (std::size_t x = 0; x < h; ++x) {
+        const double want = green_value(gp, static_cast<long>(x), fft::wavenumber(y, n),
+                                        fft::wavenumber(z, n));
+        if (!same_bits(table[(z * n + y) * h + x], want)) ++bad;
+      }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST_P(GreenSymmetry, ConcatenatedSlabsEqualFullTable) {
+  const GreenParams gp = params();
+  const std::size_t n = gp.n_mesh;
+  const auto full = build_green_table(gp, 0, n);
+  // Uneven cuts, one of them at the Nyquist plane.
+  const std::size_t cuts[] = {0, 3, n / 2, n / 2 + 1, n - 5, n};
+  std::vector<double> joined;
+  for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    const auto slab = build_green_table(gp, cuts[i], cuts[i + 1]);
+    joined.insert(joined.end(), slab.begin(), slab.end());
+  }
+  ASSERT_EQ(joined.size(), full.size());
+  EXPECT_EQ(std::memcmp(joined.data(), full.data(), full.size() * sizeof(double)), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(KindsAndMeshes, GreenSymmetry,
+                         ::testing::Combine(::testing::Values(GreenKind::kSimple,
+                                                              GreenKind::kOptimal),
+                                            ::testing::Values(std::size_t{16}, std::size_t{32},
+                                                              std::size_t{64})));
+
+// One evaluation per symmetry class: the full 32^3 table (and the r2c half
+// spectrum, which covers the same classes) needs the C(19,3) = 969 triples
+// 16 >= a >= b >= c >= 0; a slab needs the triples holding one of its |kz|.
+TEST(Green, EvaluatesEachSymmetryClassOnce) {
+  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  auto& evals = telemetry::Registry::global().counter("pm/green_evals");
+  const auto count = [&](auto&& build) {
+    const std::uint64_t before = evals.value();
+    build();
+    return evals.value() - before;
+  };
+  GreenParams gp{32, 3.0 / 32.0, Scheme::kTSC, 2, 1.0};
+  EXPECT_EQ(count([&] { build_green_table(gp, 0, 32); }), 969u);
+  EXPECT_EQ(count([&] { build_green_table_r2c(gp); }), 969u);
+  EXPECT_EQ(count([&] { build_green_table(gp, 16, 17); }), 153u);  // |kz| = 16: C(18,2)
+  gp.n_mesh = 128;
+  gp.kind = GreenKind::kSimple;  // same classes, cheap values
+  EXPECT_EQ(count([&] { build_green_table(gp, 0, 32); }), 41360u);
+  EXPECT_EQ(count([&] { build_green_table(gp, 32, 64); }), 41360u);
+  EXPECT_EQ(count([&] { build_green_table(gp, 0, 128); }), 47905u);
 }
 
 TEST(Gradient, FourPointIsExactForCubicPotential) {
