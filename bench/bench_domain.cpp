@@ -30,7 +30,10 @@ std::vector<double> interactions_per_rank(bool adaptive, int steps,
   cfg.eps = 1e-3;
   // The "static" case is emulated by sampling with uniform cost weights at
   // a tiny sample count: the decomposition stays (nearly) a uniform grid.
-  cfg.sampling.target_samples = adaptive ? 20000 : 0;
+  // The adaptive case samples half the particles: at a full sampling rate
+  // every particle is drawn, the cost weights cannot act and the cuts
+  // reduce to equal-count cuts.
+  cfg.sampling.target_samples = adaptive ? particles.size() / 2 : 0;
 
   std::vector<double> result;
   std::mutex mu;
