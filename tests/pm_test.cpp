@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <string>
 #include <tuple>
 
 #include "core/direct_force.hpp"
@@ -290,7 +291,12 @@ INSTANTIATE_TEST_SUITE_P(KindsAndMeshes, GreenSymmetry,
                          ::testing::Combine(::testing::Values(GreenKind::kSimple,
                                                               GreenKind::kOptimal),
                                             ::testing::Values(std::size_t{16}, std::size_t{32},
-                                                              std::size_t{64})));
+                                                              std::size_t{64})),
+                         [](const auto& info) {
+                           const bool optimal = std::get<0>(info.param) == GreenKind::kOptimal;
+                           return std::string(optimal ? "optimal" : "simple") +
+                                  std::to_string(std::get<1>(info.param));
+                         });
 
 // One evaluation per symmetry class: the full 32^3 table (and the r2c half
 // spectrum, which covers the same classes) needs the C(19,3) = 969 triples
