@@ -64,7 +64,12 @@ double potential_sorted(const GreenParams& p, const Sorted& s) {
 }
 
 double optimal_sorted(const GreenParams& p, const Sorted& s) {
-  if (s.a == 0) return 0.0;
+  // Modes whose every component is 0 or n/2 (the DC mode included): the
+  // finite difference vanishes on each axis, so no force can act on them.
+  // Decided on the integers -- fd_transfer returns rounding noise at
+  // k h = pi, not zero, and the quotient below would amplify it.
+  const auto dead = [&](long k) { return k == 0 || 2 * static_cast<std::size_t>(k) == p.n_mesh; };
+  if (dead(s.a) && dead(s.b) && dead(s.c)) return 0.0;
   const auto n = static_cast<double>(p.n_mesh);
   const double h = 1.0 / n;
   const int wp = support(p.scheme);
@@ -73,7 +78,6 @@ double optimal_sorted(const GreenParams& p, const Sorted& s) {
 
   const double d[3] = {fd_transfer(k[0], h), fd_transfer(k[1], h), fd_transfer(k[2], h)};
   const double d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-  if (d2 <= 0) return 0.0;  // Nyquist-only mode: the FD cannot act on it
 
   // Alias images k_n = k + 2 pi N m, m in [-range, range]^3, built from
   // per-axis wavenumbers and windows.  The reference force spectrum

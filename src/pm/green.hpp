@@ -64,7 +64,8 @@ struct GreenParams {
 double green_potential(const GreenParams& p, long kx, long ky, long kz);
 
 /// Optimal influence function at one wavenumber (125 alias images at the
-/// default range; use the table).
+/// default range; use the table).  Exactly 0 at modes whose every
+/// component is 0 or n/2, where the finite difference vanishes.
 double green_optimal(const GreenParams& p, long kx, long ky, long kz);
 
 /// Value of the configured kind at one wavenumber.

@@ -184,6 +184,22 @@ TEST(Green, DcModeIsZeroAndSymmetric) {
   EXPECT_LT(green_potential(gp, 1, 0, 0), 0.0);  // attractive potential
 }
 
+TEST(Green, OptimalIsZeroWhereTheFiniteDifferenceVanishes) {
+  // Every component 0 or n/2: d(k) is rounding noise there, which the
+  // quotient used to amplify (-908.68 at (n/2, 0, 0) for n = 32).
+  for (const std::size_t n : {16u, 32u}) {
+    const GreenParams gp{n, 3.0 / static_cast<double>(n), Scheme::kTSC, 2, 1.0};
+    const long h = static_cast<long>(n / 2);
+    for (const auto& k : {std::array{h, 0L, 0L}, std::array{h, h, 0L}, std::array{h, h, h},
+                          std::array{0L, -h, h}}) {
+      EXPECT_EQ(green_optimal(gp, k[0], k[1], k[2]), 0.0) << n << ": " << k[0] << k[1] << k[2];
+      EXPECT_EQ(green_value(gp, k[0], k[1], k[2]), 0.0);
+    }
+    // Not vacuous: one component off the Nyquist plane carries a force.
+    EXPECT_NE(green_optimal(gp, h, 1, 0), 0.0);
+  }
+}
+
 TEST(Green, SuppressedAboveCutoffScale) {
   // At wavelengths far below rcut the S2^2 factor kills the long-range force.
   const std::size_t n = 128;
