@@ -88,17 +88,30 @@ BENCHMARK(BM_PhantomVariant)
     ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx512));
 
 void BM_PhantomKernelSP(benchmark::State& state) {
-  // Single-precision variant (the x86 Phantom-GRAPE arithmetic).
-  const auto ni = static_cast<std::size_t>(state.range(0));
-  const std::size_t nj = 2048;
+  // The mixed-precision kernel the engine runs (float pair terms, double
+  // sums) with one variant's tile: avx512 4i x 16j, avx2 4i x 8j, basic
+  // the portable loop.
+  const auto v = static_cast<pp::PhantomVariant>(state.range(0));
+  if (!pp::phantom_variant_available(v)) {
+    state.SkipWithError("variant not available on this CPU");
+    return;
+  }
+  const std::size_t ni = 512, nj = 2048;
   auto w = make_workload(ni, nj);
+  const pp::PhantomVariant saved = pp::phantom_dispatch();
+  pp::set_phantom_variant(v);
   for (auto _ : state) {
     pp::pp_kernel_phantom_sp(w.xi, w.acc, w.list, w.rcut, w.eps2);
     benchmark::DoNotOptimize(w.acc.data());
   }
+  pp::set_phantom_variant(saved);
+  state.SetLabel(pp::phantom_variant_name(v));
   report_flops(state, ni, w.list.size(), pp::kFlopsPerInteraction);
 }
-BENCHMARK(BM_PhantomKernelSP)->Arg(128)->Arg(512);
+BENCHMARK(BM_PhantomKernelSP)
+    ->Arg(static_cast<int>(pp::PhantomVariant::kBasic))
+    ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx2))
+    ->Arg(static_cast<int>(pp::PhantomVariant::kBlockedAvx512));
 
 void BM_ScalarKernel(benchmark::State& state) {
   const auto ni = static_cast<std::size_t>(state.range(0));
@@ -137,23 +150,30 @@ void BM_NSquaredKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_NSquaredKernel)->Arg(1024)->Arg(4096);
 
-/// Best-of-3 interaction rate of one variant on a fixed workload.
-double measure_rate(pp::PhantomVariant v, Workload& w) {
+/// Best-of-3 interaction rate of one variant on a fixed workload: the
+/// double-precision kernel, or with `mixed` the mixed-precision one.
+double measure_rate(pp::PhantomVariant v, Workload& w, bool mixed = false) {
   using clock = std::chrono::steady_clock;
   const double n_inter = static_cast<double>(w.xi.size()) * static_cast<double>(w.list.size());
+  const pp::PhantomVariant saved = pp::phantom_dispatch();
+  if (mixed) pp::set_phantom_variant(v);
   double best = 0;
   for (int rep = 0; rep < 3; ++rep) {
     std::size_t iters = 0;
     const auto t0 = clock::now();
     double elapsed = 0;
     while (elapsed < 0.2) {
-      pp::pp_kernel_phantom_variant(v, w.xi, w.acc, w.list, w.rcut, w.eps2);
+      if (mixed)
+        pp::pp_kernel_phantom_sp(w.xi, w.acc, w.list, w.rcut, w.eps2);
+      else
+        pp::pp_kernel_phantom_variant(v, w.xi, w.acc, w.list, w.rcut, w.eps2);
       benchmark::DoNotOptimize(w.acc.data());
       ++iters;
       elapsed = std::chrono::duration<double>(clock::now() - t0).count();
     }
     best = std::max(best, static_cast<double>(iters) * n_inter / elapsed);
   }
+  pp::set_phantom_variant(saved);
   return best;
 }
 
@@ -164,9 +184,12 @@ void write_kernel_json(const char* path) {
   constexpr pp::PhantomVariant kVariants[] = {
       pp::PhantomVariant::kScalar, pp::PhantomVariant::kBasic, pp::PhantomVariant::kBlockedAvx2,
       pp::PhantomVariant::kBlockedAvx512};
-  double rate[std::size(kVariants)] = {};
+  double rate[std::size(kVariants)] = {}, sp_rate[std::size(kVariants)] = {};
   for (std::size_t k = 0; k < std::size(kVariants); ++k)
-    if (pp::phantom_variant_available(kVariants[k])) rate[k] = measure_rate(kVariants[k], w);
+    if (pp::phantom_variant_available(kVariants[k])) {
+      rate[k] = measure_rate(kVariants[k], w);
+      sp_rate[k] = measure_rate(kVariants[k], w, /*mixed=*/true);
+    }
   const double scalar = rate[0], basic = rate[1];
   const double dispatched = measure_rate(pp::phantom_dispatch(), w);
 
@@ -191,6 +214,8 @@ void write_kernel_json(const char* path) {
     jw.field("available", rate[k] > 0);
     jw.field("interactions_per_s", rate[k]);
     jw.field("gflops", rate[k] * pp::kFlopsPerInteraction * 1e-9);
+    jw.field("mixed_interactions_per_s", sp_rate[k]);
+    jw.field("mixed_gflops", sp_rate[k] * pp::kFlopsPerInteraction * 1e-9);
     jw.field("speedup_vs_scalar", scalar > 0 ? rate[k] / scalar : 0.0);
     jw.field("speedup_vs_basic", basic > 0 ? rate[k] / basic : 0.0);
     jw.end_object();

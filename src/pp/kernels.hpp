@@ -53,9 +53,11 @@ struct InteractionList {
 void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
                       const InteractionList& list, double rcut, double eps2);
 
-/// Optimized batched kernel ("phantom"): approximate rsqrt, branchless
-/// cutoff clamp, register-blocked SIMD loop.  Same contract as
-/// pp_kernel_scalar; `list` must be pad4()-ed.
+/// Optimized batched kernel ("phantom") in double precision: approximate
+/// rsqrt, branchless cutoff clamp, register-blocked SIMD loop.  Same
+/// contract as pp_kernel_scalar; `list` must be pad4()-ed.  The reference
+/// for pp_kernel_phantom_sp below, timed by bench_kernel and perfbench's
+/// pp.kernel_s replay; the engine runs the mixed-precision kernel.
 ///
 /// This is a runtime-dispatched shim: it routes to the fastest
 /// implementation the CPU supports (see PhantomVariant), overridable with
@@ -99,11 +101,29 @@ void pp_kernel_phantom_variant(PhantomVariant v, std::span<const Vec3> xi,
                                std::span<Vec3> acc, const InteractionList& list,
                                double rcut, double eps2);
 
-/// Single-precision variant of the phantom kernel, the arithmetic of the
-/// x86 Phantom-GRAPE builds (the K-computer port runs double): coordinates
-/// are shifted to the group's first target before the float conversion to
-/// preserve relative precision, and accumulation stays in double.
-/// Relative accuracy ~1e-5; `list` must be pad4()-ed.
+/// Mixed-precision phantom kernel, the arithmetic of the x86 Phantom-GRAPE
+/// builds (the K-computer port runs double) and the one the engine's
+/// tree::KernelKind::kPhantom runs.  Same contract as pp_kernel_scalar;
+/// `list` needs no padding.
+///
+/// Sources are converted to float once per call, as offsets from the
+/// midpoint of the targets' bounding box (an origin independent of target
+/// order), into per-thread staging buffers padded to 16 with far zero-mass
+/// entries, so a warm call allocates nothing.  Pair terms are float; each
+/// lane's float partial sum over at most 512 sources is added into a double
+/// sum per target.  Sources beyond rcut contribute exactly zero.  A
+/// target's result is bitwise independent of its position in `xi`.
+///
+/// Follows phantom_dispatch() (GREEM_KERNEL / set_phantom_variant):
+///   avx512 -- 4i x 16j float tile, _mm512_rsqrt14_ps + one Newton step
+///   avx2   -- 4i x 8j AVX2+FMA float tile, _mm256_rsqrt_ps + one Newton step
+///   basic  -- portable 16-lane float loop, bit-trick seed + Newton + the
+///             paper's third-order step
+///   scalar -- pp_kernel_scalar itself (exact, double)
+/// The ni % 4 tail of the tiles repeats a target and drops the extra
+/// results.  Per-target error against pp_kernel_scalar: ~3e-7 median and
+/// ~1e-5 worst for targets with many sources inside the softening length
+/// (pp_test).
 void pp_kernel_phantom_sp(std::span<const Vec3> xi, std::span<Vec3> acc,
                           const InteractionList& list, double rcut, double eps2);
 

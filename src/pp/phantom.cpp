@@ -1,5 +1,7 @@
 #include "pp/kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,7 +21,8 @@
 // Layout of this file: the scalar rsqrt, the basic (1i x 4j) kernel, the
 // register-blocked AVX2 and AVX-512 intrinsic kernels (paper §II-A: four
 // i-particles share every j-lane load -- the HPC-ACE code holds the same
-// 4x4 tile in registers), and the runtime dispatch shim at the bottom.
+// 4x4 tile in registers), the runtime dispatch shim, and the mixed-precision
+// kernels the engine runs (float pair terms, double sums) at the bottom.
 
 namespace greem::pp {
 
@@ -398,63 +401,332 @@ void pp_kernel_phantom(std::span<const Vec3> xi, std::span<Vec3> acc,
   pp_kernel_phantom_variant(g_variant, xi, acc, list, rcut, eps2);
 }
 
+// ---------------------------------------------- mixed precision (SP) --
+// The x86 Phantom-GRAPE arithmetic: pair terms in float, sums in double.
+// Sources are staged once per call as float offsets from the midpoint of
+// the targets' bounding box -- an origin that does not depend on target
+// order, so a target's result does not depend on its slot -- and padded to
+// a multiple of 16 with far zero-mass entries.  Each lane keeps a float
+// partial sum over at most kSpBlock sources, which is then widened and
+// added into a double sum per target.
+
+namespace {
+
+constexpr std::size_t kSpLanes = 16;   // staging pad: the AVX-512 float width
+constexpr std::size_t kSpBlock = 512;  // sources per float partial sum
+constexpr float kSpFar = 1.0e9f;       // pad coordinate, beyond any cutoff
+
+struct SpSources {
+  std::vector<float> x, y, z, m;
+};
+
+// Per-thread staging buffers: they grow to the longest list the thread has
+// seen and are reused, so a warm call allocates nothing.
+thread_local SpSources t_sources;
+
+struct SpStage {
+  Vec3 origin;
+  const float* x;
+  const float* y;
+  const float* z;
+  const float* m;
+  std::size_t nj;  ///< padded length, a multiple of kSpLanes
+};
+
+SpStage stage_sources(std::span<const Vec3> xi, const InteractionList& list) {
+  Vec3 lo = xi[0], hi = xi[0];
+  for (const Vec3& p : xi)
+    for (std::size_t a = 0; a < 3; ++a) {
+      lo[a] = std::min(lo[a], p[a]);
+      hi[a] = std::max(hi[a], p[a]);
+    }
+  const Vec3 origin = (lo + hi) * 0.5;
+  const std::size_t n = list.size();
+  const std::size_t nj = (n + kSpLanes - 1) / kSpLanes * kSpLanes;
+  SpSources& s = t_sources;
+  if (s.x.size() < nj) {
+    s.x.resize(nj);
+    s.y.resize(nj);
+    s.z.resize(nj);
+    s.m.resize(nj);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    s.x[j] = static_cast<float>(list.x[j] - origin.x);
+    s.y[j] = static_cast<float>(list.y[j] - origin.y);
+    s.z[j] = static_cast<float>(list.z[j] - origin.z);
+    s.m[j] = static_cast<float>(list.m[j]);
+  }
+  for (std::size_t j = n; j < nj; ++j) {
+    s.x[j] = s.y[j] = s.z[j] = kSpFar;
+    s.m[j] = 0.0f;
+  }
+  return {origin, s.x.data(), s.y.data(), s.z.data(), s.m.data(), nj};
+}
+
+/// Target i as float offsets from the staging origin.
+std::array<float, 3> sp_target(const Vec3& p, const Vec3& origin) {
+  return {static_cast<float>(p.x - origin.x), static_cast<float>(p.y - origin.y),
+          static_cast<float>(p.z - origin.z)};
+}
+
+// Portable loop: one target at a time, 16 float lanes the compiler keeps in
+// SIMD registers.  rsqrt: bit-trick seed, one Newton step, then the paper's
+// third-order step.
+void sp_basic(std::span<const Vec3> xi, std::span<Vec3> acc, const InteractionList& list,
+              double rcut, double eps2) {
+  const SpStage st = stage_sources(xi, list);
+  const float two_over_rcut = static_cast<float>(2.0 / rcut);
+  const float feps2 = static_cast<float>(eps2);
+  for (std::size_t i = 0; i < xi.size(); ++i) {
+    const auto [pix, piy, piz] = sp_target(xi[i], st.origin);
+    double ax = 0, ay = 0, az = 0;
+    for (std::size_t j0 = 0; j0 < st.nj; j0 += kSpBlock) {
+      const std::size_t j1 = std::min(st.nj, j0 + kSpBlock);
+      float sx[kSpLanes] = {}, sy[kSpLanes] = {}, sz[kSpLanes] = {};
+      for (std::size_t j = j0; j < j1; j += kSpLanes)
+        for (std::size_t l = 0; l < kSpLanes; ++l) {
+          const float dx = st.x[j + l] - pix;
+          const float dy = st.y[j + l] - piy;
+          const float dz = st.z[j + l] - piz;
+          const float r2 = dx * dx + dy * dy + dz * dz + feps2;
+          const auto bits = std::bit_cast<std::uint32_t>(r2);
+          float y0 = std::bit_cast<float>(std::uint32_t{0x5f3759df} - (bits >> 1));
+          y0 *= 1.5f - 0.5f * r2 * y0 * y0;
+          const float h0 = 1.0f - r2 * y0 * y0;
+          const float y1 = y0 * (1.0f + h0 * (0.5f + h0 * 0.375f));
+          const float q_raw = r2 * y1 * two_over_rcut;
+          // Beyond the cutoff the term is exactly zero: in float the
+          // polynomial leaves a residue of ~7e-7 at the clamped edge.
+          const float mj = q_raw < 2.0f ? st.m[j + l] : 0.0f;
+          const float q = q_raw < 2.0f ? q_raw : 2.0f;
+          const float zeta = q > 1.0f ? q - 1.0f : 0.0f;
+          const float z2 = zeta * zeta;
+          const float z6 = z2 * z2 * z2;
+          const float poly =
+              -1.6f + q * q * (1.6f + q * (-0.5f + q * (-12.0f / 35.0f + q * 0.15f)));
+          const float g = 1.0f + q * q * q * poly -
+                          z6 * (3.0f / 35.0f + q * (18.0f / 35.0f + q * 0.2f));
+          const float f = mj * g * (y1 * y1 * y1);
+          sx[l] += f * dx;
+          sy[l] += f * dy;
+          sz[l] += f * dz;
+        }
+      for (std::size_t l = 0; l < kSpLanes; ++l) {
+        ax += static_cast<double>(sx[l]);
+        ay += static_cast<double>(sy[l]);
+        az += static_cast<double>(sz[l]);
+      }
+    }
+    acc[i] += Vec3{ax, ay, az};
+  }
+}
+
+#ifdef GREEM_X86_KERNELS
+
+// The ni % 4 tail of both tiles repeats the last target in the empty slots
+// and drops their results, so every target runs through the same tile code.
+
+// ---------------------------------------------------- AVX2 4i x 8j float --
+
+__attribute__((target("avx2,fma")))
+inline __m256 sp_force_avx2(__m256 r2, __m256 mj, __m256 two_over_rcut) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  // _mm256_rsqrt_ps (12-bit) + one Newton step y0 + y0/2 (1 - r2 y0^2).
+  const __m256 y0 = _mm256_rsqrt_ps(r2);
+  const __m256 h = _mm256_fnmadd_ps(_mm256_mul_ps(r2, y0), y0, one);
+  const __m256 y = _mm256_fmadd_ps(_mm256_mul_ps(y0, _mm256_set1_ps(0.5f)), h, y0);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  __m256 q = _mm256_mul_ps(_mm256_mul_ps(r2, y), two_over_rcut);
+  // Sources beyond the cutoff get zero mass: in float the polynomial
+  // leaves a residue of ~7e-7 at the clamped edge q = 2.
+  mj = _mm256_and_ps(_mm256_cmp_ps(q, two, _CMP_LT_OQ), mj);
+  q = _mm256_min_ps(q, two);
+  const __m256 zeta = _mm256_max_ps(_mm256_sub_ps(q, one), _mm256_setzero_ps());
+  const __m256 z2 = _mm256_mul_ps(zeta, zeta);
+  const __m256 z6 = _mm256_mul_ps(_mm256_mul_ps(z2, z2), z2);
+  const __m256 q2 = _mm256_mul_ps(q, q);
+  __m256 poly = _mm256_fmadd_ps(q, _mm256_set1_ps(3.0f / 20.0f), _mm256_set1_ps(-12.0f / 35.0f));
+  poly = _mm256_fmadd_ps(q, poly, _mm256_set1_ps(-0.5f));
+  poly = _mm256_fmadd_ps(q, poly, _mm256_set1_ps(8.0f / 5.0f));
+  poly = _mm256_fmadd_ps(q2, poly, _mm256_set1_ps(-8.0f / 5.0f));
+  __m256 zp = _mm256_fmadd_ps(q, _mm256_set1_ps(1.0f / 5.0f), _mm256_set1_ps(18.0f / 35.0f));
+  zp = _mm256_fmadd_ps(q, zp, _mm256_set1_ps(3.0f / 35.0f));
+  __m256 g = _mm256_fmadd_ps(_mm256_mul_ps(q2, q), poly, one);
+  g = _mm256_fnmadd_ps(z6, zp, g);
+  return _mm256_mul_ps(_mm256_mul_ps(mj, g), _mm256_mul_ps(_mm256_mul_ps(y, y), y));
+}
+
+/// sum + the 8 float lanes of v, widened to double.
+__attribute__((target("avx2,fma")))
+inline __m256d widen_add_avx2(__m256d sum, __m256 v) {
+  const __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  const __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+  return _mm256_add_pd(sum, _mm256_add_pd(lo, hi));
+}
+
+__attribute__((target("avx2,fma")))
+void sp_tile_avx2(std::span<const Vec3> xi, std::span<Vec3> acc, const InteractionList& list,
+                  double rcut, double eps2) {
+  const SpStage st = stage_sources(xi, list);
+  const __m256 two_over_rcut = _mm256_set1_ps(static_cast<float>(2.0 / rcut));
+  const __m256 veps2 = _mm256_set1_ps(static_cast<float>(eps2));
+  const std::size_t ni = xi.size();
+  for (std::size_t i0 = 0; i0 < ni; i0 += 4) {
+    __m256 px[4], py[4], pz[4];
+    for (std::size_t t = 0; t < 4; ++t) {
+      const auto p = sp_target(xi[std::min(i0 + t, ni - 1)], st.origin);
+      px[t] = _mm256_set1_ps(p[0]);
+      py[t] = _mm256_set1_ps(p[1]);
+      pz[t] = _mm256_set1_ps(p[2]);
+    }
+    __m256d dsum[4][3];
+    for (auto& d : dsum) d[0] = d[1] = d[2] = _mm256_setzero_pd();
+    for (std::size_t j0 = 0; j0 < st.nj; j0 += kSpBlock) {
+      const std::size_t j1 = std::min(st.nj, j0 + kSpBlock);
+      __m256 ax[4], ay[4], az[4];
+      for (std::size_t t = 0; t < 4; ++t) ax[t] = ay[t] = az[t] = _mm256_setzero_ps();
+      for (std::size_t j = j0; j < j1; j += 8) {
+        const __m256 xj = _mm256_loadu_ps(st.x + j);
+        const __m256 yj = _mm256_loadu_ps(st.y + j);
+        const __m256 zj = _mm256_loadu_ps(st.z + j);
+        const __m256 mj = _mm256_loadu_ps(st.m + j);
+        for (std::size_t t = 0; t < 4; ++t) {
+          const __m256 dx = _mm256_sub_ps(xj, px[t]);
+          const __m256 dy = _mm256_sub_ps(yj, py[t]);
+          const __m256 dz = _mm256_sub_ps(zj, pz[t]);
+          __m256 r2 = _mm256_fmadd_ps(dx, dx, veps2);
+          r2 = _mm256_fmadd_ps(dy, dy, r2);
+          r2 = _mm256_fmadd_ps(dz, dz, r2);
+          const __m256 f = sp_force_avx2(r2, mj, two_over_rcut);
+          ax[t] = _mm256_fmadd_ps(f, dx, ax[t]);
+          ay[t] = _mm256_fmadd_ps(f, dy, ay[t]);
+          az[t] = _mm256_fmadd_ps(f, dz, az[t]);
+        }
+      }
+      for (std::size_t t = 0; t < 4; ++t) {
+        dsum[t][0] = widen_add_avx2(dsum[t][0], ax[t]);
+        dsum[t][1] = widen_add_avx2(dsum[t][1], ay[t]);
+        dsum[t][2] = widen_add_avx2(dsum[t][2], az[t]);
+      }
+    }
+    for (std::size_t t = 0; t < 4 && i0 + t < ni; ++t)
+      acc[i0 + t] += Vec3{hsum_avx2(dsum[t][0]), hsum_avx2(dsum[t][1]), hsum_avx2(dsum[t][2])};
+  }
+}
+
+// ------------------------------------------------- AVX-512 4i x 16j float --
+
+__attribute__((target("avx512f")))
+inline __m512 sp_force_avx512(__m512 r2, __m512 mj, __m512 two_over_rcut) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  // _mm512_rsqrt14_ps (14-bit) + one Newton step y0 + y0/2 (1 - r2 y0^2):
+  // ~2^-27 before float rounding.
+  const __m512 y0 = _mm512_rsqrt14_ps(r2);
+  const __m512 h = _mm512_fnmadd_ps(_mm512_mul_ps(r2, y0), y0, one);
+  const __m512 y = _mm512_fmadd_ps(_mm512_mul_ps(y0, _mm512_set1_ps(0.5f)), h, y0);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  __m512 q = _mm512_mul_ps(_mm512_mul_ps(r2, y), two_over_rcut);
+  // Sources beyond the cutoff get zero mass: in float the polynomial
+  // leaves a residue of ~7e-7 at the clamped edge q = 2.
+  mj = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(q, two, _CMP_LT_OQ), mj);
+  q = _mm512_min_ps(q, two);
+  const __m512 zeta = _mm512_max_ps(_mm512_sub_ps(q, one), _mm512_setzero_ps());
+  const __m512 z2 = _mm512_mul_ps(zeta, zeta);
+  const __m512 z6 = _mm512_mul_ps(_mm512_mul_ps(z2, z2), z2);
+  const __m512 q2 = _mm512_mul_ps(q, q);
+  __m512 poly = _mm512_fmadd_ps(q, _mm512_set1_ps(3.0f / 20.0f), _mm512_set1_ps(-12.0f / 35.0f));
+  poly = _mm512_fmadd_ps(q, poly, _mm512_set1_ps(-0.5f));
+  poly = _mm512_fmadd_ps(q, poly, _mm512_set1_ps(8.0f / 5.0f));
+  poly = _mm512_fmadd_ps(q2, poly, _mm512_set1_ps(-8.0f / 5.0f));
+  __m512 zp = _mm512_fmadd_ps(q, _mm512_set1_ps(1.0f / 5.0f), _mm512_set1_ps(18.0f / 35.0f));
+  zp = _mm512_fmadd_ps(q, zp, _mm512_set1_ps(3.0f / 35.0f));
+  __m512 g = _mm512_fmadd_ps(_mm512_mul_ps(q2, q), poly, one);
+  g = _mm512_fnmadd_ps(z6, zp, g);
+  return _mm512_mul_ps(_mm512_mul_ps(mj, g), _mm512_mul_ps(_mm512_mul_ps(y, y), y));
+}
+
+/// sum + the 16 float lanes of v, widened to double.
+__attribute__((target("avx512f")))
+inline __m512d widen_add_avx512(__m512d sum, __m512 v) {
+  const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
+  const __m512d hi =
+      _mm512_cvtps_pd(_mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1)));
+  return _mm512_add_pd(sum, _mm512_add_pd(lo, hi));
+}
+
+__attribute__((target("avx512f")))
+void sp_tile_avx512(std::span<const Vec3> xi, std::span<Vec3> acc, const InteractionList& list,
+                    double rcut, double eps2) {
+  const SpStage st = stage_sources(xi, list);
+  const __m512 two_over_rcut = _mm512_set1_ps(static_cast<float>(2.0 / rcut));
+  const __m512 veps2 = _mm512_set1_ps(static_cast<float>(eps2));
+  const std::size_t ni = xi.size();
+  for (std::size_t i0 = 0; i0 < ni; i0 += 4) {
+    __m512 px[4], py[4], pz[4];
+    for (std::size_t t = 0; t < 4; ++t) {
+      const auto p = sp_target(xi[std::min(i0 + t, ni - 1)], st.origin);
+      px[t] = _mm512_set1_ps(p[0]);
+      py[t] = _mm512_set1_ps(p[1]);
+      pz[t] = _mm512_set1_ps(p[2]);
+    }
+    __m512d dsum[4][3];
+    for (auto& d : dsum) d[0] = d[1] = d[2] = _mm512_setzero_pd();
+    for (std::size_t j0 = 0; j0 < st.nj; j0 += kSpBlock) {
+      const std::size_t j1 = std::min(st.nj, j0 + kSpBlock);
+      __m512 ax[4], ay[4], az[4];
+      for (std::size_t t = 0; t < 4; ++t) ax[t] = ay[t] = az[t] = _mm512_setzero_ps();
+      for (std::size_t j = j0; j < j1; j += 16) {
+        const __m512 xj = _mm512_loadu_ps(st.x + j);
+        const __m512 yj = _mm512_loadu_ps(st.y + j);
+        const __m512 zj = _mm512_loadu_ps(st.z + j);
+        const __m512 mj = _mm512_loadu_ps(st.m + j);
+        for (std::size_t t = 0; t < 4; ++t) {
+          const __m512 dx = _mm512_sub_ps(xj, px[t]);
+          const __m512 dy = _mm512_sub_ps(yj, py[t]);
+          const __m512 dz = _mm512_sub_ps(zj, pz[t]);
+          __m512 r2 = _mm512_fmadd_ps(dx, dx, veps2);
+          r2 = _mm512_fmadd_ps(dy, dy, r2);
+          r2 = _mm512_fmadd_ps(dz, dz, r2);
+          const __m512 f = sp_force_avx512(r2, mj, two_over_rcut);
+          ax[t] = _mm512_fmadd_ps(f, dx, ax[t]);
+          ay[t] = _mm512_fmadd_ps(f, dy, ay[t]);
+          az[t] = _mm512_fmadd_ps(f, dz, az[t]);
+        }
+      }
+      for (std::size_t t = 0; t < 4; ++t) {
+        dsum[t][0] = widen_add_avx512(dsum[t][0], ax[t]);
+        dsum[t][1] = widen_add_avx512(dsum[t][1], ay[t]);
+        dsum[t][2] = widen_add_avx512(dsum[t][2], az[t]);
+      }
+    }
+    for (std::size_t t = 0; t < 4 && i0 + t < ni; ++t)
+      acc[i0 + t] += Vec3{_mm512_reduce_add_pd(dsum[t][0]), _mm512_reduce_add_pd(dsum[t][1]),
+                          _mm512_reduce_add_pd(dsum[t][2])};
+  }
+}
+
+#endif  // GREEM_X86_KERNELS
+
+}  // namespace
 
 void pp_kernel_phantom_sp(std::span<const Vec3> xi, std::span<Vec3> acc,
                           const InteractionList& list, double rcut, double eps2) {
   if (xi.empty()) return;
-  const std::size_t nj = list.size();
-  // Shift to a group-local origin so float coordinates keep ~7 digits of
-  // *relative* position; pair separations are differences of nearby values.
-  const Vec3 origin = xi[0];
-  std::vector<float> jx(nj), jy(nj), jz(nj), jm(nj);
-  for (std::size_t j = 0; j < nj; ++j) {
-    jx[j] = static_cast<float>(list.x[j] - origin.x);
-    jy[j] = static_cast<float>(list.y[j] - origin.y);
-    jz[j] = static_cast<float>(list.z[j] - origin.z);
-    jm[j] = static_cast<float>(list.m[j]);
-  }
-  const float two_over_rcut = static_cast<float>(2.0 / rcut);
-  const float feps2 = static_cast<float>(eps2);
-
-  for (std::size_t i = 0; i < xi.size(); ++i) {
-    const float pix = static_cast<float>(xi[i].x - origin.x);
-    const float piy = static_cast<float>(xi[i].y - origin.y);
-    const float piz = static_cast<float>(xi[i].z - origin.z);
-    float ax = 0, ay = 0, az = 0;
-    for (std::size_t j = 0; j < nj; j += 4) {
-      float fx[4], fy[4], fz[4];
-      for (int l = 0; l < 4; ++l) {
-        const float dx = jx[j + l] - pix;
-        const float dy = jy[j + l] - piy;
-        const float dz = jz[j + l] - piz;
-        const float r2 = dx * dx + dy * dy + dz * dz + feps2;
-        // Bit-trick seed + one Newton + one third-order step (float).
-        const auto bits = std::bit_cast<std::uint32_t>(r2);
-        float y0 = std::bit_cast<float>(std::uint32_t{0x5f3759df} - (bits >> 1));
-        y0 *= 1.5f - 0.5f * r2 * y0 * y0;
-        const float h0 = 1.0f - r2 * y0 * y0;
-        const float y1 = y0 * (1.0f + h0 * (0.5f + h0 * 0.375f));
-        const float r = r2 * y1;
-        float q = r * two_over_rcut;
-        q = q < 2.0f ? q : 2.0f;
-        const float zeta = q > 1.0f ? q - 1.0f : 0.0f;
-        const float z2 = zeta * zeta;
-        const float z6 = z2 * z2 * z2;
-        const float poly =
-            -1.6f + q * q * (1.6f + q * (-0.5f + q * (-12.0f / 35.0f + q * 0.15f)));
-        const float g = 1.0f + q * q * q * poly -
-                        z6 * (3.0f / 35.0f + q * (18.0f / 35.0f + q * 0.2f));
-        const float f = jm[j + l] * g * (y1 * y1 * y1);
-        fx[l] = f * dx;
-        fy[l] = f * dy;
-        fz[l] = f * dz;
-      }
-      ax += (fx[0] + fx[1]) + (fx[2] + fx[3]);
-      ay += (fy[0] + fy[1]) + (fy[2] + fy[3]);
-      az += (fz[0] + fz[1]) + (fz[2] + fz[3]);
-    }
-    acc[i] += Vec3{static_cast<double>(ax), static_cast<double>(ay),
-                   static_cast<double>(az)};
+  switch (g_variant) {
+    case PhantomVariant::kScalar:
+      pp_kernel_scalar(xi, acc, list, rcut, eps2);
+      return;
+#ifdef GREEM_X86_KERNELS
+    case PhantomVariant::kBlockedAvx2:
+      sp_tile_avx2(xi, acc, list, rcut, eps2);
+      return;
+    case PhantomVariant::kBlockedAvx512:
+      sp_tile_avx512(xi, acc, list, rcut, eps2);
+      return;
+#endif
+    default:
+      sp_basic(xi, acc, list, rcut, eps2);
+      return;
   }
 }
 

@@ -112,11 +112,13 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   // dynamically scheduled one at a time -- interaction-list sizes vary by
   // orders of magnitude between clustered and void regions, so static
   // chunking load-imbalances badly.  Each pool slot reuses one scratch set
-  // (interaction list, per-group accumulators) across all groups it takes.
-  // Accumulated phase seconds are summed CPU time.
+  // (interaction list, gathered targets, per-group accumulators) across all
+  // groups it takes.  Accumulated phase seconds are summed CPU time.
   struct SlotScratch {
     TraversalStats stats;
     double traverse_s = 0, force_s = 0;
+    std::vector<Vec3> targets;
+    std::vector<std::uint32_t> target_index;  ///< original index per target
     std::vector<Vec3> group_acc;
     pp::InteractionList list;
     std::vector<pp::QuadSource> quad_nodes;
@@ -126,6 +128,8 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
   parallel_for_dynamic(0, group_nodes.size(), 1, [&](std::size_t lo, std::size_t hi, unsigned slot) {
     SlotScratch& sc = scratch[slot];
     TraversalStats& local_stats = sc.stats;
+    std::vector<Vec3>& targets = sc.targets;
+    std::vector<std::uint32_t>& target_index = sc.target_index;
     std::vector<Vec3>& group_acc = sc.group_acc;
     pp::InteractionList& list = sc.list;
     std::vector<pp::QuadSource>& quad_nodes = sc.quad_nodes;
@@ -138,12 +142,20 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       GroupCost* gc = group_costs ? &(*group_costs)[gidx] : nullptr;
       if (gc) gc->node = group_nodes[gidx];
 
-      // Count only targets (locals) toward the paper's statistics.  A group
-      // of ghosts alone has no force to compute: skip its walk, and leave
-      // its cost record zero apart from the node.
-      std::uint64_t ni_targets = 0;
-      for (std::uint32_t i = g.first; i < g.first + g.count; ++i)
-        if (tree.original_index(i) < n_targets) ++ni_targets;
+      // Gather the group's targets (locals): only they are evaluated and
+      // counted toward the paper's statistics.  A group of ghosts alone has
+      // no force to compute: skip its walk, and leave its cost record zero
+      // apart from the node.
+      targets.clear();
+      target_index.clear();
+      const auto pos = tree.sorted_pos();
+      for (std::uint32_t i = g.first; i < g.first + g.count; ++i) {
+        const std::uint32_t orig = tree.original_index(i);
+        if (orig >= n_targets) continue;
+        targets.push_back(pos[i]);
+        target_index.push_back(orig);
+      }
+      const std::uint64_t ni_targets = targets.size();
       if (ni_targets == 0) continue;
 
       sw.restart();
@@ -178,15 +190,13 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
       }
 
       sw.restart();
-      group_acc.assign(g.count, Vec3{});
-      const std::span<const Vec3> targets = tree.sorted_pos().subspan(g.first, g.count);
+      group_acc.assign(targets.size(), Vec3{});
       switch (params.kernel) {
         case KernelKind::kScalar:
           pp_kernel_scalar(targets, group_acc, list, params.rcut, params.eps2);
           break;
         case KernelKind::kPhantom:
-          list.pad4();
-          pp_kernel_phantom(targets, group_acc, list, params.rcut, params.eps2);
+          pp_kernel_phantom_sp(targets, group_acc, list, params.rcut, params.eps2);
           break;
         case KernelKind::kNewton:
           pp_kernel_newton(targets, group_acc, list, params.eps2);
@@ -197,10 +207,7 @@ TraversalStats run_traversal(const Octree& tree, const TraversalParams& params,
           break;
       }
       // Disjoint writes: each tree-order particle belongs to one group.
-      for (std::uint32_t i = 0; i < g.count; ++i) {
-        const std::uint32_t orig = tree.original_index(g.first + i);
-        if (orig < n_targets) acc[orig] += group_acc[i];
-      }
+      for (std::size_t k = 0; k < targets.size(); ++k) acc[target_index[k]] += group_acc[k];
       const double force_s = sw.seconds();
       sc.force_s += force_s;
       if (gc) gc->force_s = force_s;

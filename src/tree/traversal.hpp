@@ -19,7 +19,9 @@ namespace greem::tree {
 
 enum class KernelKind {
   kScalar,      ///< exact arithmetic, gP3M cutoff
-  kPhantom,     ///< batched approximate-rsqrt kernel, gP3M cutoff
+  kPhantom,     ///< mixed-precision Phantom kernel (pp_kernel_phantom_sp:
+                ///< float pair terms, double sums), gP3M cutoff;
+                ///< GREEM_KERNEL=scalar makes it exact
   kNewton,      ///< no cutoff (pure-tree / direct baselines)
   kNewtonQuad,  ///< no cutoff, monopole+quadrupole node moments
                 ///< (requires OctreeParams::with_quadrupole)

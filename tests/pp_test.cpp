@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "pp/cutoff.hpp"
 #include "pp/kernels.hpp"
@@ -264,40 +266,144 @@ TEST(Kernels, SofteningRegularizesCloseEncounters) {
 }
 
 
-TEST(Kernels, SinglePrecisionPhantomTracksScalar) {
-  Rng rng(31);
-  const std::size_t ni = 64, nj = 512;
-  std::vector<Vec3> xi(ni);
-  // A compact group, as the traversal provides (targets share a cell).
-  for (auto& p : xi)
+// ---- mixed-precision kernel (pp_kernel_phantom_sp, the engine's kPhantom) --
+
+/// A compact target group (the traversal's shape) and `nj` sources around
+/// it, some inside the softening scale of a target.
+struct SpCase {
+  std::vector<Vec3> xi;
+  InteractionList list;
+};
+
+SpCase make_sp_case(std::size_t ni, std::size_t nj, std::uint64_t seed) {
+  Rng rng(seed);
+  SpCase c;
+  c.xi.resize(ni);
+  for (auto& p : c.xi)
     p = {0.4 + rng.uniform(0.0, 0.05), 0.3 + rng.uniform(0.0, 0.05),
          0.6 + rng.uniform(0.0, 0.05)};
-  InteractionList list;
-  for (std::size_t j = 0; j < nj; ++j)
-    list.add({rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.6), rng.uniform(0.4, 0.9)},
-             rng.uniform(0.5, 2.0));
-  const double rcut = 0.3, eps2 = 1e-6;
-
-  std::vector<Vec3> ref(ni), sp(ni);
-  pp_kernel_scalar(xi, ref, list, rcut, eps2);
-  list.pad4();
-  pp_kernel_phantom_sp(xi, sp, list, rcut, eps2);
-  for (std::size_t i = 0; i < ni; ++i) {
-    const double scale = std::max(1.0, ref[i].norm());
-    EXPECT_NEAR(sp[i].x, ref[i].x, 5e-4 * scale);
-    EXPECT_NEAR(sp[i].y, ref[i].y, 5e-4 * scale);
-    EXPECT_NEAR(sp[i].z, ref[i].z, 5e-4 * scale);
+  for (std::size_t j = 0; j < nj; ++j) {
+    const Vec3 near = c.xi[j % ni] + Vec3{rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3),
+                                          rng.uniform(-1e-3, 1e-3)};
+    const Vec3 far{rng.uniform(0.2, 0.8), rng.uniform(0.1, 0.6), rng.uniform(0.4, 0.9)};
+    c.list.add(j % 7 == 0 ? near : far, rng.uniform(0.5, 2.0));
   }
+  return c;
 }
 
-TEST(Kernels, SinglePrecisionHandlesSelfAndPadding) {
-  const std::vector<Vec3> xi{{0.5, 0.5, 0.5}};
-  InteractionList list;
-  list.add({0.5, 0.5, 0.5}, 3.0);  // self
-  list.pad4();                      // far-away massless padding
-  std::vector<Vec3> acc(1);
-  pp_kernel_phantom_sp(xi, acc, list, 0.3, 1e-8);
-  EXPECT_NEAR(acc[0].norm(), 0.0, 1e-10);
+/// Runs `body` once per mixed-precision variant this host can execute,
+/// with the dispatch switched to it, and restores the dispatch.
+template <class F>
+void for_each_sp_variant(F body) {
+  const PhantomVariant saved = phantom_dispatch();
+  for (const PhantomVariant v : {PhantomVariant::kScalar, PhantomVariant::kBasic,
+                                 PhantomVariant::kBlockedAvx2, PhantomVariant::kBlockedAvx512}) {
+    if (!phantom_variant_available(v)) continue;
+    set_phantom_variant(v);
+    SCOPED_TRACE(phantom_variant_name(v));
+    body(v);
+  }
+  set_phantom_variant(saved);
+}
+
+// Target counts around the 4-wide tile (every tail length) and list
+// lengths off the 16-lane width, one of them past the 512-source float
+// partial-sum block.
+constexpr std::size_t kSpNi[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33};
+constexpr std::size_t kSpNj[] = {1, 5, 17, 100, 531, 1100};
+
+TEST(Kernels, MixedPrecisionTracksScalarPerTarget) {
+  const double rcut = 0.3, eps2 = 1e-6;
+  for_each_sp_variant([&](PhantomVariant v) {
+    std::vector<double> rel;
+    for (const std::size_t ni : kSpNi)
+      for (const std::size_t nj : kSpNj) {
+        const SpCase c = make_sp_case(ni, nj, 1000 * ni + nj);
+        std::vector<Vec3> ref(ni), sp(ni);
+        pp_kernel_scalar(c.xi, ref, c.list, rcut, eps2);
+        pp_kernel_phantom_sp(c.xi, sp, c.list, rcut, eps2);
+        for (std::size_t i = 0; i < ni; ++i) {
+          if (v == PhantomVariant::kScalar) {
+            EXPECT_EQ(sp[i], ref[i]);  // GREEM_KERNEL=scalar is the exact kernel
+            continue;
+          }
+          rel.push_back((sp[i] - ref[i]).norm() / ref[i].norm());
+        }
+      }
+    if (v == PhantomVariant::kScalar) return;
+    // Relative error per target over these 468 targets, measured (basic,
+    // avx2, avx512): p50 3.1e-7, 3.0e-7, 2.6e-7; p90 2.1e-6 for each; max
+    // 1.1e-5 for each -- the float offsets of targets with ~20 sources
+    // inside the softening length.  Gates at ~3x.
+    std::sort(rel.begin(), rel.end());
+    EXPECT_LT(rel[rel.size() / 2], 1e-6);
+    EXPECT_LT(rel[rel.size() * 9 / 10], 6.5e-6);
+    EXPECT_LT(rel.back(), 3.5e-5);
+  });
+}
+
+TEST(Kernels, MixedPrecisionIsBitwiseInvariantUnderTargetPermutation) {
+  // The float origin is the midpoint of the targets' bounding box and the
+  // ni % 4 tail runs through the same tile, so a target's result does not
+  // depend on its slot: rotating and reversing the targets moves every
+  // target to another tile position (and in or out of the tail).
+  const double rcut = 0.3, eps2 = 1e-6;
+  for_each_sp_variant([&](PhantomVariant) {
+    for (const std::size_t ni : {5u, 9u, 33u}) {
+      const SpCase c = make_sp_case(ni, 531, 77 + ni);
+      std::vector<Vec3> base(ni);
+      pp_kernel_phantom_sp(c.xi, base, c.list, rcut, eps2);
+      for (const bool reverse : {false, true}) {
+        std::vector<std::size_t> order(ni);
+        for (std::size_t k = 0; k < ni; ++k) order[k] = reverse ? ni - 1 - k : (k + 1) % ni;
+        std::vector<Vec3> xi(ni), got(ni);
+        for (std::size_t k = 0; k < ni; ++k) xi[k] = c.xi[order[k]];
+        pp_kernel_phantom_sp(xi, got, c.list, rcut, eps2);
+        for (std::size_t k = 0; k < ni; ++k)
+          EXPECT_EQ(std::memcmp(&got[k], &base[order[k]], sizeof(Vec3)), 0)
+              << "ni " << ni << " target " << order[k];
+      }
+    }
+  });
+}
+
+TEST(Kernels, MixedPrecisionSelfInteractionAndPaddingAreForceNeutral) {
+  // A source on the target contributes exactly nothing, and so do the far
+  // zero-mass entries of pad4() and of the kernel's own 16-lane padding:
+  // padded and unpadded lists give the same bits, and accumulation adds
+  // into acc.
+  for_each_sp_variant([&](PhantomVariant) {
+    const std::vector<Vec3> self{{0.5, 0.5, 0.5}};
+    InteractionList only_self;
+    only_self.add(self[0], 3.0);
+    std::vector<Vec3> acc(1);
+    pp_kernel_phantom_sp(self, acc, only_self, 0.3, 1e-8);
+    EXPECT_EQ(acc[0], Vec3{});
+    only_self.pad4();
+    pp_kernel_phantom_sp(self, acc, only_self, 0.3, 1e-8);
+    EXPECT_EQ(acc[0], Vec3{});
+
+    SpCase c = make_sp_case(7, 101, 5);
+    c.list.add(c.xi[3], 2.0);  // a self term inside a real list
+    std::vector<Vec3> unpadded(7), padded(7, Vec3{1, 2, 3});
+    pp_kernel_phantom_sp(c.xi, unpadded, c.list, 0.3, 1e-6);
+    c.list.pad4();
+    pp_kernel_phantom_sp(c.xi, padded, c.list, 0.3, 1e-6);
+    for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(padded[i], (unpadded[i] + Vec3{1, 2, 3}));
+  });
+}
+
+TEST(Kernels, MixedPrecisionCutoffKillsDistantSources) {
+  for_each_sp_variant([&](PhantomVariant) {
+    const std::vector<Vec3> xi{{0.0, 0.0, 0.0}};
+    InteractionList list;
+    list.add({0.5, 0.0, 0.0}, 10.0);  // beyond rcut = 0.4
+    std::vector<Vec3> acc(1);
+    pp_kernel_phantom_sp(xi, acc, list, 0.4, 1e-10);
+    // Exactly zero: beyond the cutoff the term is masked, not left to the
+    // polynomial's float residue at the clamped edge (~7e-7 x m / r^2).
+    EXPECT_EQ(acc[0], Vec3{});
+  });
 }
 
 }  // namespace

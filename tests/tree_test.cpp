@@ -592,5 +592,42 @@ TEST(GroupCosts, SumToTraversalStats) {
   }
 }
 
+TEST(Traversal, PhantomWalksLikeScalarAndEvaluatesOnlyTargets) {
+  // Locals interleaved in space with "ghosts" (original index >= n_targets),
+  // so most groups are mixed.  The mixed-precision kPhantom kernel changes
+  // only the arithmetic of the force: the walk and its statistics equal the
+  // exact kernel's, ghost entries of acc are never written, and the local
+  // forces agree to float precision.
+  const auto pos = random_positions(600, 23);
+  std::vector<double> mass(pos.size(), 1.0 / 600);
+  const std::size_t n_targets = 400;
+  Octree tree(pos, mass);
+  TraversalParams tp;
+  tp.theta = 0.5;
+  tp.rcut = 0.25;
+  tp.ncrit = 32;
+  tp.eps2 = 1e-8;
+
+  std::vector<Vec3> acc[2];
+  TraversalStats stats[2];
+  const KernelKind kinds[2] = {KernelKind::kScalar, KernelKind::kPhantom};
+  for (int k = 0; k < 2; ++k) {
+    tp.kernel = kinds[k];
+    acc[k].assign(pos.size(), Vec3{});
+    stats[k] = tree_accelerations_targets(tree, tp, n_targets, acc[k]);
+    for (std::size_t i = n_targets; i < pos.size(); ++i) EXPECT_EQ(acc[k][i], Vec3{}) << i;
+  }
+  EXPECT_EQ(stats[1].ngroups, stats[0].ngroups);
+  EXPECT_EQ(stats[1].sum_ni, stats[0].sum_ni);
+  EXPECT_EQ(stats[1].sum_nj, stats[0].sum_nj);
+  EXPECT_EQ(stats[1].interactions, stats[0].interactions);
+  EXPECT_EQ(stats[1].nodes_visited, stats[0].nodes_visited);
+  EXPECT_EQ(stats[1].ghost_sources, stats[0].ghost_sources);
+  EXPECT_EQ(stats[0].sum_ni, n_targets);
+  EXPECT_GT(stats[0].ghost_sources, 0u);
+  for (std::size_t i = 0; i < n_targets; ++i)
+    EXPECT_LT((acc[1][i] - acc[0][i]).norm(), 1e-4 * acc[0][i].norm()) << i;
+}
+
 }  // namespace
 }  // namespace greem::tree
