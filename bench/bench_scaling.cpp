@@ -149,10 +149,9 @@ double pp_spawn_pass(const tree::Octree& tree, const tree::TraversalParams& para
       const auto& g = tree.nodes()[groups[gi]];
       list.clear();
       tree::build_interaction_list(tree, groups[gi], params, Vec3{}, list, stats);
-      list.pad4();
       group_acc.assign(g.count, Vec3{});
-      pp::pp_kernel_phantom(tree.sorted_pos().subspan(g.first, g.count), group_acc, list,
-                            params.rcut, params.eps2);
+      pp::pp_kernel_phantom_sp(tree.sorted_pos().subspan(g.first, g.count), group_acc, list,
+                               params.rcut, params.eps2);
       for (std::uint32_t i = 0; i < g.count; ++i)
         acc[tree.original_index(g.first + i)] += group_acc[i];
     }

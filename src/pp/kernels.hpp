@@ -55,9 +55,10 @@ void pp_kernel_scalar(std::span<const Vec3> xi, std::span<Vec3> acc,
 
 /// Optimized batched kernel ("phantom") in double precision: approximate
 /// rsqrt, branchless cutoff clamp, register-blocked SIMD loop.  Same
-/// contract as pp_kernel_scalar; `list` must be pad4()-ed.  The reference
-/// for pp_kernel_phantom_sp below, timed by bench_kernel and perfbench's
-/// pp.kernel_s replay; the engine runs the mixed-precision kernel.
+/// contract as pp_kernel_scalar; `list` must be pad4()-ed.  The engine
+/// runs pp_kernel_phantom_sp below instead; this kernel remains only for
+/// bench_kernel's double legs and perfbench's pp.kernel_s replay, and goes
+/// once that replay times the mixed-precision kernel.
 ///
 /// This is a runtime-dispatched shim: it routes to the fastest
 /// implementation the CPU supports (see PhantomVariant), overridable with

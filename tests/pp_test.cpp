@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "pp/cutoff.hpp"
 #include "pp/kernels.hpp"
@@ -404,6 +406,26 @@ TEST(Kernels, MixedPrecisionCutoffKillsDistantSources) {
     // polynomial's float residue at the clamped edge (~7e-7 x m / r^2).
     EXPECT_EQ(acc[0], Vec3{});
   });
+}
+
+TEST(Kernels, MixedPrecisionDispatchRunsEachVariantsOwnCode) {
+  // Every variant seeds rsqrt differently (bit trick, _mm256_rsqrt_ps,
+  // _mm512_rsqrt14_ps, exact), so on a 531-source list no two of them give
+  // the same bits for every target.  A variant routed to another's code
+  // would pass every accuracy test above; it fails here.
+  const SpCase c = make_sp_case(33, 531, 4242);
+  std::vector<std::pair<PhantomVariant, std::vector<Vec3>>> out;
+  for_each_sp_variant([&](PhantomVariant v) {
+    std::vector<Vec3> a(c.xi.size());
+    pp_kernel_phantom_sp(c.xi, a, c.list, 0.3, 1e-6);
+    out.emplace_back(v, std::move(a));
+  });
+  for (std::size_t p = 0; p < out.size(); ++p)
+    for (std::size_t q = p + 1; q < out.size(); ++q)
+      EXPECT_NE(std::memcmp(out[p].second.data(), out[q].second.data(),
+                            out[p].second.size() * sizeof(Vec3)),
+                0)
+          << phantom_variant_name(out[p].first) << " vs " << phantom_variant_name(out[q].first);
 }
 
 }  // namespace
