@@ -8,10 +8,10 @@
 // Here we sweep the rank count and the number of relay groups and report,
 // for the forward and backward conversions separately: the busiest
 // endpoint's message count, and the modeled congestion time (endpoint
-// serialization: latency + bytes/bandwidth).  The shape to compare: the
-// direct method's busiest endpoint grows ~ p^(2/3) while the relay
-// method's stays near the group size, with a multi-x modeled speedup at
-// the largest p.
+// serialization: latency + bytes/bandwidth).  One group is the direct
+// conversion (a single world-wide alltoallv).  The shape to compare: the
+// one-group busiest endpoint grows ~ p^(2/3) while with k groups it stays
+// near the group size, with a multi-x modeled speedup at the largest p.
 
 #include <cstdio>
 #include <iostream>
@@ -32,8 +32,7 @@ struct PhaseTraffic {
   double fwd_model_s = 0, bwd_model_s = 0;
 };
 
-PhaseTraffic run(std::array<int, 3> dims, std::size_t n_mesh, pm::MeshConversion method,
-                 int n_groups) {
+PhaseTraffic run(std::array<int, 3> dims, std::size_t n_mesh, int n_groups) {
   const int p = dims[0] * dims[1] * dims[2];
   const auto decomp = domain::Decomposition::uniform(dims);
   const auto particles =
@@ -44,7 +43,6 @@ PhaseTraffic run(std::array<int, 3> dims, std::size_t n_mesh, pm::MeshConversion
   rt.run([&](parx::Comm& world) {
     pm::ParallelPmParams params;
     params.n_mesh = n_mesh;
-    params.conversion.method = method;
     params.conversion.n_groups = n_groups;
     pm::ParallelPm solver(world, params);
     solver.update_domain(decomp.box_of(world.rank()));
@@ -93,11 +91,11 @@ PhaseTraffic run(std::array<int, 3> dims, std::size_t n_mesh, pm::MeshConversion
 }  // namespace
 
 int main() {
-  std::printf("Relay mesh method vs direct alltoallv conversion (paper §II-B).\n");
+  std::printf("Relay mesh method: k groups vs 1 group (the direct alltoallv), paper §II-B.\n");
   std::printf("Modeled time: per-endpoint serialization, 5 us latency, 5 GB/s.\n\n");
 
   TextTable t;
-  t.header({"p", "mesh", "method", "groups", "fwd max-in", "fwd model (us)", "bwd max-in",
+  t.header({"p", "mesh", "groups", "fwd max-in", "fwd model (us)", "bwd max-in",
             "bwd model (us)", "speedup"});
 
   struct Case {
@@ -112,17 +110,17 @@ int main() {
   };
   for (const auto& c : cases) {
     const int p = c.dims[0] * c.dims[1] * c.dims[2];
-    const auto direct = run(c.dims, c.mesh, pm::MeshConversion::kDirect, 1);
+    const auto direct = run(c.dims, c.mesh, 1);
     const double direct_total = direct.fwd_model_s + direct.bwd_model_s;
-    t.row({TextTable::num((long long)p), TextTable::num((long long)c.mesh), "direct", "-",
+    t.row({TextTable::num((long long)p), TextTable::num((long long)c.mesh), "1 (direct)",
            TextTable::num((long long)direct.fwd_max_in),
            TextTable::num(direct.fwd_model_s * 1e6, 4),
            TextTable::num((long long)direct.bwd_max_in),
            TextTable::num(direct.bwd_model_s * 1e6, 4), "1.0"});
     for (int g : c.groups) {
-      const auto relay = run(c.dims, c.mesh, pm::MeshConversion::kRelay, g);
+      const auto relay = run(c.dims, c.mesh, g);
       const double relay_total = relay.fwd_model_s + relay.bwd_model_s;
-      t.row({TextTable::num((long long)p), TextTable::num((long long)c.mesh), "relay",
+      t.row({TextTable::num((long long)p), TextTable::num((long long)c.mesh),
              TextTable::num((long long)g), TextTable::num((long long)relay.fwd_max_in),
              TextTable::num(relay.fwd_model_s * 1e6, 4),
              TextTable::num((long long)relay.bwd_max_in),
@@ -131,9 +129,9 @@ int main() {
     }
   }
   t.print(std::cout);
-  std::printf("\nShape check vs the paper: the direct method's busiest endpoint\n");
+  std::printf("\nShape check vs the paper: with one group the busiest endpoint\n");
   std::printf("grows with p (toward ~p^(2/3) senders per FFT process at scale);\n");
-  std::printf("the relay method caps it near the group size and wins by a\n");
-  std::printf("growing factor, >4x on the full K computer.\n");
+  std::printf("k groups cap it near the group size and win by a growing\n");
+  std::printf("factor, >4x on the full K computer.\n");
   return 0;
 }

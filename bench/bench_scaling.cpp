@@ -54,7 +54,6 @@ ScalingPoint run(std::array<int, 3> dims, const std::vector<core::Particle>& par
   core::ParallelSimConfig cfg;
   cfg.dims = dims;
   cfg.pm.n_mesh = 32;
-  cfg.pm.conversion.method = pm::MeshConversion::kRelay;
   cfg.pm.conversion.n_groups = std::max(1, p / 32);
   cfg.theta = 0.5;
   cfg.ncrit = 100;

@@ -47,14 +47,11 @@
 //   --restore-from PATH   resume from a checkpoint dir (or its parent)
 //   --final-state FILE    rank 0 writes the final particles (sorted by id)
 //                         as a snapshot for byte-wise comparison
-//   --overlap {0,1}       overlap the PM cycle with the PP cycle (default
-//                         0; ON and OFF runs are bitwise identical, see
-//                         docs/overlap.md)
 //   --large-n LIST        comma-separated particle counts (e.g.
 //                         "1000000,10000000"); for each N, run a short
-//                         no-plan / rate-0-plan / overlap-ON/OFF sweep and
-//                         emit a "large_n_sweep" entry (the CI perf gate
-//                         reads these)
+//                         no-plan / rate-0-plan sweep and emit a
+//                         "large_n_sweep" entry (the CI perf gate reads
+//                         these)
 //
 // BENCH_step.json gains a "transport" section with the reliable-transport
 // and sentinel counters plus a perfect-link overhead microbench (raw
@@ -103,7 +100,6 @@ struct Options {
   int live_port = -1;  ///< -1 = endpoint off, 0 = ephemeral
   std::string restore_from;
   std::string final_state;
-  bool overlap = false;
   std::vector<std::size_t> large_n;
 };
 
@@ -147,8 +143,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.restore_from = v;
     } else if (!std::strcmp(a, "--final-state") && (v = need(i))) {
       opt.final_state = v;
-    } else if (!std::strcmp(a, "--overlap") && (v = need(i))) {
-      opt.overlap = std::atoi(v) != 0;
     } else if (!std::strcmp(a, "--large-n") && (v = need(i))) {
       for (const char* p = v; *p;) {
         char* end = nullptr;
@@ -189,14 +183,29 @@ double alltoallv_rounds_seconds(int rounds, const parx::FaultPlan& plan) {
   return sw.seconds();
 }
 
-/// Wall seconds of `nsteps` real simulation steps (stopwatch starts after
-/// construction, so domain bootstrap is excluded) on a fresh runtime --
-/// the step-time overhead probe behind the "<2% with no fault plan"
-/// acceptance number.  `rate0` additionally installs a rate-0 link plan,
-/// routing every message through the fully-armed framed transport.
-double sim_steps_seconds(const core::ParallelSimConfig& cfg,
-                         const std::vector<core::Particle>& particles, int nranks,
-                         int nsteps, double dt, bool rate0) {
+/// One probe run of `nsteps` real simulation steps on a fresh runtime (the
+/// stopwatch starts after construction, so domain bootstrap is excluded).
+/// `rate0` additionally installs a rate-0 link plan, routing every message
+/// through the fully-armed framed transport.  Returns the wall seconds plus
+/// the job-wide overlap fraction of the last step (inflight / (inflight +
+/// blocked), reduced over ranks), the PP load imbalance (max/mean over
+/// ranks of the last step's traversal+force seconds), the interaction
+/// imbalance (max/mean over ranks of the final PP cycle's summed group
+/// interactions, the StepRecord's pp_groups[r].interactions) and the
+/// task-pool busy imbalance (max/mean per-slot busy time over the probe's
+/// steps).  Works without telemetry -- OverlapStats, the timing breakdowns
+/// and the group costs are plain StepReport data.
+struct StepProbe {
+  double seconds = 0;
+  double fraction = 0;
+  double pp_imbalance = 0;
+  double interaction_imbalance = 0;
+  double pool_imbalance = 0;
+};
+
+StepProbe sim_steps_probe(const core::ParallelSimConfig& cfg,
+                          const std::vector<core::Particle>& particles, int nranks, int nsteps,
+                          double dt, bool rate0) {
   parx::Runtime rt(nranks);
   if (rate0) {
     parx::FaultSpec idle;
@@ -211,63 +220,7 @@ double sim_steps_seconds(const core::ParallelSimConfig& cfg,
   probe_cfg.step_report_path.clear();  // don't mix probe steps into the JSONL
   probe_cfg.restore_from.clear();
   std::mutex mu;
-  double seconds = 0;
-  rt.run([&](parx::Comm& world) {
-    std::vector<core::Particle> local =
-        world.rank() == 0 ? particles : std::vector<core::Particle>{};
-    core::ParallelSimulation sim(world, probe_cfg, std::move(local), 0.0);
-    world.barrier();
-    Stopwatch sw;
-    for (int s = 1; s <= nsteps; ++s) sim.step(s * dt);
-    world.barrier();
-    if (world.rank() == 0) {
-      std::lock_guard lock(mu);
-      seconds = sw.seconds();
-    }
-  });
-  return seconds;
-}
-
-/// One overlap probe run: `nsteps` steps with the overlap switch as given;
-/// returns the wall seconds plus the job-wide overlap fraction of the last
-/// step (inflight / (inflight + blocked), reduced over ranks), the PP load
-/// imbalance (max/mean over ranks of the last step's traversal+force
-/// seconds), the interaction imbalance (max/mean over ranks of the final
-/// PP cycle's summed group interactions, the StepRecord's
-/// pp_groups[r].interactions) and the task-pool busy imbalance
-/// (max/mean per-slot busy time over the probe's steps).  Works without
-/// telemetry -- OverlapStats, the timing breakdowns and the group costs
-/// are plain StepReport data.
-struct OverlapProbe {
-  double seconds = 0;
-  double fraction = 0;
-  double pp_imbalance = 0;
-  double interaction_imbalance = 0;
-  double pool_imbalance = 0;
-};
-
-/// Median of 5 samples after one discarded warmup run: probes report a
-/// robust central value instead of a lucky best-of-N (the warmup pays
-/// cold caches, page faults and thread spin-up once, off the record).
-template <class F>
-double median5_seconds(F&& run) {
-  (void)run();
-  std::array<double, 5> s;
-  for (auto& v : s) v = run();
-  std::sort(s.begin(), s.end());
-  return s[2];
-}
-
-OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
-                                 const std::vector<core::Particle>& particles, int nranks,
-                                 int nsteps, double dt, bool overlap) {
-  parx::Runtime rt(nranks);
-  auto probe_cfg = cfg;
-  probe_cfg.step_report_path.clear();
-  probe_cfg.restore_from.clear();
-  probe_cfg.overlap = overlap;
-  std::mutex mu;
-  OverlapProbe out;
+  StepProbe out;
   rt.run([&](parx::Comm& world) {
     std::vector<core::Particle> local =
         world.rank() == 0 ? particles : std::vector<core::Particle>{};
@@ -304,6 +257,18 @@ OverlapProbe overlap_steps_probe(const core::ParallelSimConfig& cfg,
   return out;
 }
 
+/// Median of 5 samples after one discarded warmup run: probes report a
+/// robust central value instead of a lucky best-of-N (the warmup pays
+/// cold caches, page faults and thread spin-up once, off the record).
+template <class F>
+double median5_seconds(F&& run) {
+  (void)run();
+  std::array<double, 5> s;
+  for (auto& v : s) v = run();
+  std::sort(s.begin(), s.end());
+  return s[2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -336,7 +301,6 @@ int main(int argc, char** argv) {
   core::ParallelSimConfig cfg;
   cfg.dims = {2, 2, 2};
   cfg.pm.n_mesh = 32;
-  cfg.pm.conversion.method = pm::MeshConversion::kRelay;
   cfg.pm.conversion.n_groups = 2;
   cfg.pm.conversion.n_fft = 4;  // < ranks, so the cross-group reduce/bcast run
   cfg.pool_threads = 4;         // exercise the pool so steal stats are non-trivial
@@ -346,7 +310,6 @@ int main(int argc, char** argv) {
   cfg.sampling.target_samples = 10000;
   cfg.step_report_path = jsonl_path;
   cfg.restore_from = opt.restore_from;
-  cfg.overlap = opt.overlap;
 
   parx::Runtime rt(kRanks);
   if (!opt.faults.empty()) {
@@ -421,16 +384,15 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(telemetry::flight_event_count()));
   }
 
-  // Large-N overlap campaign: for each requested N, a short sweep over
-  // {no plan, rate-0 plan} x {overlap on, off} on a mesh scaled to the
-  // particle count.  Single run per configuration -- at these sizes the
-  // runs are long enough that scheduler noise is a small relative error,
-  // and the CI perf gate reads the ratios, not the absolute times.
+  // Large-N campaign: for each requested N, a short {no plan, rate-0 plan}
+  // sweep on a mesh scaled to the particle count.  Single run per
+  // configuration -- at these sizes the runs are long enough that
+  // scheduler noise is a small relative error, and the CI perf gate reads
+  // the ratios, not the absolute times.
   struct SweepPoint {
     std::size_t n = 0, n_mesh = 0;
-    double no_plan_s = 0, rate0_s = 0, on_s = 0, off_s = 0, fraction_on = 0;
-    /// From the overlap-off leg.
-    double pp_imbalance = 0, interaction_imbalance = 0, pool_imbalance = 0;
+    double rate0_s = 0;
+    StepProbe no_plan;
   };
   std::vector<SweepPoint> sweep;
   if (!opt.large_n.empty() && opt.faults.empty() && opt.watchdog_s <= 0) {
@@ -451,17 +413,9 @@ int main(int argc, char** argv) {
       // Discarded warmup: the first run at a new N pays allocator and
       // page-cache effects that would land entirely on the no-plan leg
       // and skew every ratio computed from it.
-      (void)sim_steps_seconds(scfg, pts, kRanks, 1, dt, false);
-      p.no_plan_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, false);
-      p.rate0_s = sim_steps_seconds(scfg, pts, kRanks, kSweepSteps, dt, true);
-      const auto on = overlap_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, true);
-      const auto off = overlap_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, false);
-      p.on_s = on.seconds;
-      p.off_s = off.seconds;
-      p.fraction_on = on.fraction;
-      p.pp_imbalance = off.pp_imbalance;
-      p.interaction_imbalance = off.interaction_imbalance;
-      p.pool_imbalance = off.pool_imbalance;
+      (void)sim_steps_probe(scfg, pts, kRanks, 1, dt, false);
+      p.no_plan = sim_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, false);
+      p.rate0_s = sim_steps_probe(scfg, pts, kRanks, kSweepSteps, dt, true).seconds;
       sweep.push_back(p);
     }
   }
@@ -561,12 +515,13 @@ int main(int argc, char** argv) {
       // set bounding the fully-armed transport on the same workload.
       constexpr int kProbeSteps = 2;
       auto no_plan = [&] {
-        return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, false);
+        return sim_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, false).seconds;
       };
       const double a = median5_seconds(no_plan);
       const double b = median5_seconds(no_plan);
-      const double r0 = median5_seconds(
-          [&] { return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, true); });
+      const double r0 = median5_seconds([&] {
+        return sim_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, true).seconds;
+      });
       jw.key("step_overhead_probe").begin_object();
       jw.field("steps", kProbeSteps);
       jw.field("repeats", 5);
@@ -587,7 +542,7 @@ int main(int argc, char** argv) {
       // this is the number the CI perf gate holds it to.
       constexpr int kProbeSteps = 2;
       auto no_plan = [&] {
-        return sim_steps_seconds(cfg, particles, kRanks, kProbeSteps, dt, false);
+        return sim_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, false).seconds;
       };
       const double armed = median5_seconds(no_plan);
       telemetry::set_flight_recorder_enabled(false);
@@ -604,32 +559,12 @@ int main(int argc, char** argv) {
       jw.end_object();
     }
     {
-      // PM/PP overlap: what the main run measured, plus (for clean runs) a
-      // dedicated ON-vs-OFF probe on the same workload, median of 5 each.
+      // PM/PP overlap of the main run's last step.
       jw.key("overlap").begin_object();
-      jw.field("enabled", opt.overlap);
       jw.field("fraction", last.overlap_fraction);
       jw.field("force_wall_seconds", last.force_wall_seconds);
       jw.field("blocked_seconds", last.overlap_blocked_seconds);
       jw.field("inflight_seconds", last.overlap_inflight_seconds);
-      if (opt.faults.empty() && opt.watchdog_s <= 0) {
-        constexpr int kProbeSteps = 2;
-        double fraction_on = 0;
-        const double on = median5_seconds([&] {
-          const auto p = overlap_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, true);
-          fraction_on = std::max(fraction_on, p.fraction);
-          return p.seconds;
-        });
-        const double off = median5_seconds([&] {
-          return overlap_steps_probe(cfg, particles, kRanks, kProbeSteps, dt, false).seconds;
-        });
-        jw.field("probe_steps", kProbeSteps);
-        jw.field("repeats", 5);
-        jw.field("step_seconds_on", on);
-        jw.field("step_seconds_off", off);
-        jw.field("probe_fraction_on", fraction_on);
-        jw.field("speedup", on > 0 ? off / on : 0.0);
-      }
       jw.end_object();
     }
     if (!sweep.empty()) {
@@ -639,17 +574,14 @@ int main(int argc, char** argv) {
         jw.field("n_particles", p.n);
         jw.field("n_mesh", p.n_mesh);
         jw.field("steps", 2);
-        jw.field("no_plan_seconds", p.no_plan_s);
+        jw.field("no_plan_seconds", p.no_plan.seconds);
         jw.field("rate0_seconds", p.rate0_s);
         jw.field("rate0_overhead_fraction",
-                 p.no_plan_s > 0 ? p.rate0_s / p.no_plan_s - 1.0 : 0.0);
-        jw.field("overlap_on_seconds", p.on_s);
-        jw.field("overlap_off_seconds", p.off_s);
-        jw.field("overlap_fraction_on", p.fraction_on);
-        jw.field("overlap_speedup", p.on_s > 0 ? p.off_s / p.on_s : 0.0);
-        jw.field("pp_imbalance", p.pp_imbalance);
-        jw.field("interaction_imbalance", p.interaction_imbalance);
-        jw.field("pool_imbalance", p.pool_imbalance);
+                 p.no_plan.seconds > 0 ? p.rate0_s / p.no_plan.seconds - 1.0 : 0.0);
+        jw.field("overlap_fraction", p.no_plan.fraction);
+        jw.field("pp_imbalance", p.no_plan.pp_imbalance);
+        jw.field("interaction_imbalance", p.no_plan.interaction_imbalance);
+        jw.field("pool_imbalance", p.no_plan.pool_imbalance);
         jw.end_object();
       }
       jw.end_array();

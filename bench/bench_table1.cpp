@@ -46,7 +46,6 @@ RunResult run_case(std::array<int, 3> dims, std::size_t n_particles, int nsteps)
   core::ParallelSimConfig cfg;
   cfg.dims = dims;
   cfg.pm.n_mesh = 32;  // N_PM between N/2^3 and N/4^3 per the paper
-  cfg.pm.conversion.method = pm::MeshConversion::kRelay;
   cfg.pm.conversion.n_groups = 2;
   cfg.theta = 0.5;
   cfg.ncrit = 100;  // the paper's optimal <Ni> on K computer

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   core::ParallelSimConfig cfg;
   cfg.dims = {d, d, d};
   cfg.pm.n_mesh = 32;
-  cfg.pm.conversion.method = pm::MeshConversion::kRelay;
   cfg.pm.conversion.n_groups = 2;
   cfg.theta = 0.5;
   cfg.ncrit = 64;

@@ -256,7 +256,6 @@ void ParallelSimulation::pp_force_cycle() {
 void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
   telemetry::Span span("sim/force_cycle");
   OverlapStats& ov = report_.overlap;
-  ov.enabled = config_.overlap;
   Stopwatch wall;
   const double blocked0 = parx::thread_blocked_seconds();
 
@@ -291,54 +290,37 @@ void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
     pm_.update_domain(pm_box);
   }
 
-  std::vector<Vec3> accl(particles_.size(), Vec3{});
-  auto store_accl = [&] {
+  // Interleaved schedule (paper §II-B: the PM part "is executed
+  // concurrently with the PP part").  Every stage is a pure function of
+  // its inputs and all drains unpack in canonical rank order, so the
+  // interleaving moves only the stalls -- never a result bit.
+  pm::ParallelPm::Cycle c;
+  GhostWork g;
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
+  with_epoch("pm", report_.traffic_pm, [&] { c = pm_.start_cycle(pos, mass, &report_.pm); });
+  const double t_gather_posted = wall.seconds();
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
+  with_epoch("pp", report_.traffic_pp, [&] { g = pp_start(); });
+  const double t_ghost_posted = wall.seconds();
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
+  ov.inflight_s += wall.seconds() - t_gather_posted;
+  with_epoch("pm", report_.traffic_pm, [&] { pm_.advance_fft(c, &report_.pm); });
+  const double t_scatter_posted = wall.seconds();
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
+  ov.inflight_s += wall.seconds() - t_ghost_posted;
+  with_epoch("pp", report_.traffic_pp, [&] { pp_finish(g); });
+
+  parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
+  ov.inflight_s += wall.seconds() - t_scatter_posted;
+  with_epoch("pm", report_.traffic_pm, [&] {
+    std::vector<Vec3> accl(particles_.size(), Vec3{});
+    pm_.finish_cycle(c, pos, accl, &report_.pm);
     for (std::size_t i = 0; i < particles_.size(); ++i) particles_[i].acc_l = accl[i];
-  };
-
-  if (!config_.overlap) {
-    // Sequential schedule: the full PP cycle, then the full PM cycle --
-    // the same staged pieces the overlapped path runs, drained in place.
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    pp_force_cycle();
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    telemetry::Span pm_span("sim/pm_cycle");
-    with_epoch("pm", report_.traffic_pm, [&] {
-      pm_.accelerations(pos, mass, accl, &report_.pm);
-      store_accl();
-    });
-  } else {
-    // Interleaved schedule.  Every stage is the identical pure function of
-    // the same inputs as in the sequential path and all drains unpack in
-    // canonical rank order, so only the stalls move -- never a result bit.
-    pm::ParallelPm::Cycle c;
-    GhostWork g;
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    with_epoch("pm", report_.traffic_pm,
-               [&] { c = pm_.start_cycle(pos, mass, &report_.pm); });
-    const double t_gather_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    with_epoch("pp", report_.traffic_pp, [&] { g = pp_start(); });
-    const double t_ghost_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    ov.inflight_s += wall.seconds() - t_gather_posted;
-    with_epoch("pm", report_.traffic_pm, [&] { pm_.advance_fft(c, &report_.pm); });
-    const double t_scatter_posted = wall.seconds();
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
-    ov.inflight_s += wall.seconds() - t_ghost_posted;
-    with_epoch("pp", report_.traffic_pp, [&] { pp_finish(g); });
-
-    parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
-    ov.inflight_s += wall.seconds() - t_scatter_posted;
-    with_epoch("pm", report_.traffic_pm, [&] {
-      pm_.finish_cycle(c, pos, accl, &report_.pm);
-      store_accl();
-    });
-  }
+  });
 
   ov.window_s = wall.seconds();
   ov.blocked_s = parx::thread_blocked_seconds() - blocked0;
@@ -384,8 +366,8 @@ void ParallelSimulation::step(double t_next) {
     report_.dd.add("position update", sw.seconds());
 
     if (s + 1 == nsub) {
-      // Final substep: the PP cycle plus the pipelined PM cycle for the
-      // next step's long kick, overlapped when config_.overlap is on.
+      // Final substep: the PP cycle interleaved with the pipelined PM
+      // cycle for the next step's long kick.
       combined_force_cycle(fault_step);
     } else {
       parx::set_fault_context(fault_step, parx::FaultPhase::kPP);
@@ -510,7 +492,6 @@ void ParallelSimulation::write_step_record() {
   // slowest rank sets the step time) and the job-wide stall/flight sums.
   // The fraction is computed from the reduced sums so every rank reports
   // the identical value.
-  rec.overlap_enabled = report_.overlap.enabled;
   rec.force_wall_seconds = world_.allreduce_max(report_.overlap.window_s);
   double ov[2] = {report_.overlap.blocked_s, report_.overlap.inflight_s};
   world_.allreduce_sum(std::span<double>(ov, 2));
@@ -603,8 +584,7 @@ std::uint64_t config_fingerprint(const ParallelSimConfig& config) {
   const auto& pm = config.pm;
   h.mix(pm.n_mesh).mix(pm.rcut).mix(static_cast<int>(pm.scheme));
   h.mix(pm.deconv_power).mix(pm.G).mix(static_cast<int>(pm.green));
-  h.mix(pm.conversion.n_mesh).mix(pm.conversion.n_fft);
-  h.mix(static_cast<int>(pm.conversion.method)).mix(pm.conversion.n_groups);
+  h.mix(pm.conversion.n_mesh).mix(pm.conversion.n_fft).mix(pm.conversion.n_groups);
   return h.value();
 }
 

@@ -7,19 +7,18 @@
 // with the 3-D multi-section decomposition re-sampled every cycle using
 // the measured force cost (per-group interaction counts, so every run is
 // bitwise reproducible; docs/load-balance.md), ghost (boundary) particle
-// exchange for the short-range tree, and the parallel PM with the direct
-// or relay mesh conversion.  Phase timings accumulate under the row names
-// of Table I.
+// exchange for the short-range tree, and the parallel PM with the relay
+// mesh conversion (one group = the direct conversion).  Phase timings
+// accumulate under the row names of Table I.
 //
 // The PM cycle is *pipelined*: it is evaluated at the end of each step (at
 // the same positions the next step's long-range kick needs) alongside the
 // final substep's PP cycle, and the resulting acceleration is cached on
-// the particle (Particle::acc_l) until the kick consumes it.  With
-// ParallelSimConfig::overlap on, the two cycles' communication and compute
-// stages interleave (paper §II-B: the PM part "is executed concurrently
-// with the PP part"); the interleaving never changes any arithmetic, so
-// overlap ON and OFF produce bitwise-identical snapshots.  docs/overlap.md
-// walks through the schedule.
+// the particle (Particle::acc_l) until the kick consumes it.  The two
+// cycles' communication and compute stages interleave (paper §II-B: the PM
+// part "is executed concurrently with the PP part"); the interleaving
+// never changes any arithmetic, only where the ranks stall.
+// docs/overlap.md walks through the schedule.
 
 #include <limits>
 #include <span>
@@ -71,7 +70,7 @@ class SentinelError : public parx::CommError {
 
 struct ParallelSimConfig {
   std::array<int, 3> dims{1, 1, 1};  ///< rank grid; product must equal comm size
-  pm::ParallelPmParams pm;           ///< mesh, rcut, scheme, conversion method
+  pm::ParallelPmParams pm;           ///< mesh, rcut, scheme, relay groups
   double theta = 0.5;
   std::uint32_t ncrit = 64;
   std::uint32_t leaf_capacity = 8;
@@ -83,13 +82,7 @@ struct ParallelSimConfig {
   /// Set only by perfbench/, read by nothing; goes away with the next benchmark change.
   CostMetric cost_metric = CostMetric::kInteractions;
 
-  /// Overlap the PM cycle's conversions and FFT with the final substep's
-  /// PP ghost exchange and tree build (paper §II-B runs the two parts
-  /// concurrently).  Purely a scheduling switch: ON and OFF execute
-  /// identical arithmetic in identical order and produce bitwise-identical
-  /// snapshots (docs/overlap.md), so it is excluded from
-  /// config_fingerprint and checkpoints move freely between settings.
-  /// Must be set identically on every rank (the stage order is collective).
+  /// Set only by perfbench/, read by nothing; goes away with the next benchmark change.
   bool overlap = false;
 
   /// Invariant sentinel; excluded from config_fingerprint (it observes the
@@ -181,14 +174,13 @@ class ParallelSimulation {
 
   /// Comm/compute overlap telemetry of the combined force cycle.  Phase
   /// rows in the TimingBreakdowns are *busy* time (per-phase stopwatch
-  /// segments of this rank's thread); under overlap a drain row measures
-  /// only the residual stall, not the full message flight, so wall time
-  /// must come from window_s, never from summing rows across cycles.
+  /// segments of this rank's thread); a drain row measures only the
+  /// residual stall, not the full message flight, so wall time must come
+  /// from window_s, never from summing rows across cycles.
   struct OverlapStats {
-    bool enabled = false;   ///< config overlap switch at measurement time
     double window_s = 0;    ///< wall seconds of the combined force cycle
     double blocked_s = 0;   ///< parx completion-wait stall inside the window
-    double inflight_s = 0;  ///< sum of post-to-drain flight windows (0 when off)
+    double inflight_s = 0;  ///< sum of post-to-drain flight windows
   };
 
   struct StepReport {
@@ -237,9 +229,8 @@ class ParallelSimulation {
   /// Exactly pp_start + pp_finish under one traffic epoch.
   void pp_force_cycle();
 
-  /// The final substep's PP cycle plus the pipelined PM cycle (acc_l at
-  /// the current positions), sequential or interleaved per
-  /// config_.overlap; fills report_.overlap either way.
+  /// The final substep's PP cycle interleaved with the pipelined PM cycle
+  /// (acc_l at the current positions); fills report_.overlap.
   void combined_force_cycle(std::uint64_t fault_step);
 
   void write_step_record();

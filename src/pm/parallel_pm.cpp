@@ -40,7 +40,7 @@ ParallelPm::Cycle ParallelPm::start_cycle(std::span<const Vec3> pos,
   }
   if (t) t->add("density assignment", sw.seconds());
 
-  // (2a) post the forward conversion (direct alltoallv or relay mesh)
+  // (2a) post the forward conversion (relay mesh)
   Cycle c;
   c.active = true;
   c.gather = converter_->start_gather(rho, t);

@@ -2,7 +2,7 @@
 // Parallel PM long-range solver: the five-step cycle of paper §II-B
 // (density assignment -> layout conversion -> slab FFT + Green -> backward
 // conversion -> mesh differentiation + interpolation), running over parx
-// with either the direct or the relay mesh conversion.
+// with the relay mesh conversion (one group = the direct conversion).
 
 #include <memory>
 #include <optional>

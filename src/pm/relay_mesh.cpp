@@ -59,16 +59,13 @@ MeshConverter::MeshConverter(parx::Comm& world, ConverterParams params)
   // rank order is our stand-in for physical locality).
   comm_fft_ = world.split(world.rank() < params_.n_fft ? 0 : 1, world.rank());
 
-  if (params_.method == MeshConversion::kRelay) {
-    n_groups_eff_ = std::max(1, params_.n_groups);
-    // Every group must hold at least n_fft processes so its first n_fft
-    // members can carry partial slabs.
-    n_groups_eff_ = std::min(n_groups_eff_, std::max(1, p / params_.n_fft));
-    base_group_size_ = p / n_groups_eff_;
-    comm_smalla2a_ = world.split(group_of(world.rank()), world.rank());
-    const int g = group_of(world.rank());
-    comm_reduce_ = world.split(world.rank() - group_start(g), g);
-  }
+  // Every group must hold at least n_fft processes so its first n_fft
+  // members can carry partial slabs.
+  n_groups_eff_ = std::min(std::max(1, params_.n_groups), std::max(1, p / params_.n_fft));
+  base_group_size_ = p / n_groups_eff_;
+  const int g = group_of(world.rank());
+  comm_smalla2a_ = world.split(g, world.rank());
+  comm_reduce_ = world.split(world.rank() - group_start(g), g);
 }
 
 int MeshConverter::group_of(int world_rank) const {
@@ -212,13 +209,8 @@ LocalMesh MeshConverter::backward_unpack(parx::Comm& comm,
   return out;
 }
 
-parx::Comm& MeshConverter::conv_comm() {
-  return params_.method == MeshConversion::kDirect ? world_ : comm_smalla2a_;
-}
-
-std::vector<CellRegion> MeshConverter::conv_slice(
+std::vector<CellRegion> MeshConverter::group_slice(
     const std::vector<CellRegion>& world_regions) const {
-  if (params_.method == MeshConversion::kDirect) return world_regions;
   const int gs = group_start(group_of(world_.rank()));
   return {world_regions.begin() + gs, world_regions.begin() + gs + comm_smalla2a_.size()};
 }
@@ -228,20 +220,16 @@ MeshConverter::PendingGather MeshConverter::start_gather(const LocalMesh& local_
   Stopwatch sw;
   PendingGather pg;
   pg.active = true;
-  // Traffic is recorded at send time, so the a2a phase probe can close at
-  // the end of posting; the epoch boundary blur is the same as before
-  // (see the PhaseProbe note).
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/forward_a2a");
-    PhaseProbe probe(world_, "direct_forward_a2a");
-    pg.a2a = world_.ialltoallv(forward_pack(world_, world_density_regions_, local_density));
-  } else {
+  {
     // Step 1 (paper): alltoallv inside the group -> partial slabs on the
-    // group's first n_fft members.
+    // group's first n_fft members.  Traffic is recorded at send time, so
+    // the phase probe can close at the end of posting; the epoch boundary
+    // blur is the same as for a blocking exchange (see the PhaseProbe
+    // note).
     telemetry::Span span("pm/relay/forward_a2a");
     PhaseProbe probe(world_, "relay_forward_a2a");
     pg.a2a = comm_smalla2a_.ialltoallv(
-        forward_pack(comm_smalla2a_, conv_slice(world_density_regions_), local_density));
+        forward_pack(comm_smalla2a_, group_slice(world_density_regions_), local_density));
   }
   if (t) t->add("communication", sw.seconds());
   return pg;
@@ -250,26 +238,20 @@ MeshConverter::PendingGather MeshConverter::start_gather(const LocalMesh& local_
 std::vector<double> MeshConverter::finish_gather(PendingGather& pg, TimingBreakdown* t) {
   Stopwatch sw;
   std::vector<double> slab;
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/forward_wait");
-    auto recv = world_.wait_alltoallv(pg.a2a);
-    slab = forward_unpack(world_, world_density_regions_, recv);
-  } else {
-    std::vector<double> partial;
-    {
-      telemetry::Span span("pm/relay/forward_wait");
-      auto recv = comm_smalla2a_.wait_alltoallv(pg.a2a);
-      partial = forward_unpack(comm_smalla2a_, conv_slice(world_density_regions_), recv);
-    }
-    // Step 2: reduce the partial slabs across groups onto the root group.
-    {
-      telemetry::Span span("pm/relay/reduce");
-      PhaseProbe probe(world_, "relay_reduce");
-      if (comm_smalla2a_.rank() < params_.n_fft) {
-        if (comm_reduce_.size() > 1)
-          comm_reduce_.reduce_sum(std::span<double>(partial), 0);
-        if (comm_reduce_.rank() == 0) slab = std::move(partial);
-      }
+  {
+    telemetry::Span span("pm/relay/forward_wait");
+    auto recv = comm_smalla2a_.wait_alltoallv(pg.a2a);
+    slab = forward_unpack(comm_smalla2a_, group_slice(world_density_regions_), recv);
+  }
+  // Step 2: reduce the partial slabs across groups onto the root group.
+  if (n_groups_eff_ > 1) {
+    telemetry::Span span("pm/relay/reduce");
+    PhaseProbe probe(world_, "relay_reduce");
+    if (comm_smalla2a_.rank() < params_.n_fft) {
+      // One count per participating rank: n_fft * groups per conversion.
+      telemetry::Registry::global().counter("pm/relay/cross_group_reduces").add();
+      comm_reduce_.reduce_sum(std::span<double>(slab), 0);
+      if (comm_reduce_.rank() != 0) slab = {};
     }
   }
   pg.active = false;
@@ -282,24 +264,24 @@ MeshConverter::PendingScatter MeshConverter::start_scatter(const std::vector<dou
   Stopwatch sw;
   PendingScatter ps;
   ps.active = true;
-  if (params_.method == MeshConversion::kDirect) {
-    telemetry::Span span("pm/direct/backward_a2a");
-    PhaseProbe probe(world_, "direct_backward_a2a");
-    ps.a2a = world_.ialltoallv(backward_pack(world_, world_potential_regions_, slab_phi));
-  } else {
-    // Step 4 (paper): bcast the slab potential across groups...
-    std::vector<double> buf = slab_phi;
-    {
-      telemetry::Span span("pm/relay/bcast");
-      PhaseProbe probe(world_, "relay_bcast");
-      if (comm_smalla2a_.rank() < params_.n_fft && comm_reduce_.size() > 1)
-        comm_reduce_.bcast(buf, 0);
+  // Step 4 (paper): bcast the slab potential across groups.  Only then is
+  // a buffer needed: the root group's slab holders copy theirs into it.
+  std::vector<double> bcast_buf;
+  const bool bcast = n_groups_eff_ > 1 && comm_smalla2a_.rank() < params_.n_fft;
+  if (n_groups_eff_ > 1) {
+    telemetry::Span span("pm/relay/bcast");
+    PhaseProbe probe(world_, "relay_bcast");
+    if (bcast) {
+      if (comm_reduce_.rank() == 0) bcast_buf = slab_phi;
+      comm_reduce_.bcast(bcast_buf, 0);
     }
-    // ...step 5: alltoallv inside the group to each member's local mesh.
+  }
+  {
+    // Step 5: alltoallv inside the group to each member's local mesh.
     telemetry::Span span("pm/relay/backward_a2a");
     PhaseProbe probe(world_, "relay_backward_a2a");
-    ps.a2a = comm_smalla2a_.ialltoallv(
-        backward_pack(comm_smalla2a_, conv_slice(world_potential_regions_), buf));
+    ps.a2a = comm_smalla2a_.ialltoallv(backward_pack(
+        comm_smalla2a_, group_slice(world_potential_regions_), bcast ? bcast_buf : slab_phi));
   }
   if (t) t->add("communication", sw.seconds());
   return ps;
@@ -309,10 +291,9 @@ LocalMesh MeshConverter::finish_scatter(PendingScatter& ps, TimingBreakdown* t) 
   Stopwatch sw;
   LocalMesh out;
   {
-    telemetry::Span span(params_.method == MeshConversion::kDirect ? "pm/direct/backward_wait"
-                                                                   : "pm/relay/backward_wait");
-    auto recv = conv_comm().wait_alltoallv(ps.a2a);
-    out = backward_unpack(conv_comm(), conv_slice(world_potential_regions_), recv);
+    telemetry::Span span("pm/relay/backward_wait");
+    auto recv = comm_smalla2a_.wait_alltoallv(ps.a2a);
+    out = backward_unpack(comm_smalla2a_, group_slice(world_potential_regions_), recv);
   }
   ps.active = false;
   if (t) t->add("communication", sw.seconds());

@@ -1,19 +1,19 @@
 #pragma once
 // Mesh-layout conversion between the 3-D particle domain decomposition and
-// the 1-D FFT slab decomposition (paper §II-B), with both methods:
+// the 1-D FFT slab decomposition: the paper's relay mesh method (§II-B).
 //
-//  * kDirect — the straightforward conversion: one global alltoallv over
-//    the world communicator.  Each FFT process then receives a message from
-//    every rank whose local mesh overlaps its slab (~p^(2/3) senders; ~4000
-//    on the full K computer), which congests its endpoint.
+// Ranks are divided into groups of size >= the number of FFT processes
+// (group 0, the "root group", contains the FFT processes).  The forward
+// conversion runs an alltoallv inside each group (COMM_SMALLA2A), building
+// partial slabs, followed by a reduction across groups (COMM_REDUCE) onto
+// the root group.  The backward path mirrors it: bcast across groups, then
+// an alltoallv inside each group.
 //
-//  * kRelay — the paper's relay mesh method: ranks are divided into groups
-//    of size >= the number of FFT processes (group 0, the "root group",
-//    contains the FFT processes).  The global exchange is replaced by a
-//    local alltoallv inside each group (COMM_SMALLA2A), building partial
-//    slabs, followed by a reduction across groups (COMM_REDUCE) onto the
-//    root group.  The backward path mirrors it: bcast across groups, then
-//    local alltoallv inside each group.
+// With one group (n_groups = 1, the default) the in-group alltoallv spans
+// the world and the cross-group reduce and bcast are skipped: that is the
+// straightforward direct conversion, in which each FFT process receives a
+// message from every rank whose local mesh overlaps its slab (~p^(2/3)
+// senders; ~4000 on the full K computer) and its endpoint congests.
 //
 // Slab plane z belongs to FFT rank f iff z is in split_range(n, n_fft, f);
 // payloads are raw cell values in a canonical order both sides derive from
@@ -29,19 +29,22 @@
 
 namespace greem::pm {
 
-enum class MeshConversion { kDirect, kRelay };
+/// Set only by perfbench/, read by nothing; goes away with the next benchmark change.
+enum class MeshConversion { kRelay };
 
 struct ConverterParams {
   std::size_t n_mesh = 64;
   int n_fft = 0;  ///< 0 => min(world size, n_mesh)
-  MeshConversion method = MeshConversion::kDirect;
-  int n_groups = 1;  ///< relay only; kDirect ignores it
+  /// Set only by perfbench/, read by nothing; goes away with the next benchmark change.
+  MeshConversion method = MeshConversion::kRelay;
+  /// Relay groups, capped at world size / n_fft; 1 = the direct conversion.
+  int n_groups = 1;
 };
 
 class MeshConverter {
  public:
-  /// Collective over `world`.  Builds the FFT communicator (COMM_FFT) and,
-  /// for kRelay, COMM_SMALLA2A / COMM_REDUCE via comm splits.
+  /// Collective over `world`.  Builds the FFT communicator (COMM_FFT),
+  /// COMM_SMALLA2A and COMM_REDUCE via comm splits.
   MeshConverter(parx::Comm& world, ConverterParams params);
 
   const ConverterParams& params() const { return params_; }
@@ -91,9 +94,9 @@ class MeshConverter {
 
   PendingGather start_gather(const LocalMesh& local_density, TimingBreakdown* t);
   std::vector<double> finish_gather(PendingGather& pg, TimingBreakdown* t);
-  /// Relay: runs the (small) cross-group bcast synchronously, then posts
-  /// the in-group all-to-all.  Call on every rank; `slab_phi` is ignored
-  /// on non-slab-holders.
+  /// Runs the (small) cross-group bcast synchronously, then posts the
+  /// in-group all-to-all.  Call on every rank; `slab_phi` is ignored on
+  /// non-slab-holders.
   PendingScatter start_scatter(const std::vector<double>& slab_phi, TimingBreakdown* t);
   LocalMesh finish_scatter(PendingScatter& ps, TimingBreakdown* t);
 
@@ -101,10 +104,8 @@ class MeshConverter {
   int group_of(int world_rank) const;
   int group_start(int g) const;
 
-  /// The conversion communicator (world for kDirect, my group for kRelay)
-  /// and that communicator's slice of a world-indexed region table.
-  parx::Comm& conv_comm();
-  std::vector<CellRegion> conv_slice(const std::vector<CellRegion>& world_regions) const;
+  /// My group's slice of a world-indexed region table.
+  std::vector<CellRegion> group_slice(const std::vector<CellRegion>& world_regions) const;
 
   // Pack/unpack halves of the conversion over one communicator whose
   // ranks 0..n_fft-1 hold slabs; `regions` holds the region of each comm
@@ -124,8 +125,8 @@ class MeshConverter {
   parx::Comm world_;
   ConverterParams params_;
   parx::Comm comm_fft_;      // FFT ranks only
-  parx::Comm comm_smalla2a_; // relay: my group
-  parx::Comm comm_reduce_;   // relay: same in-group position across groups
+  parx::Comm comm_smalla2a_; // my group
+  parx::Comm comm_reduce_;   // same in-group position across groups
   int n_groups_eff_ = 1;
   int base_group_size_ = 0;
 

@@ -62,7 +62,6 @@ void write_jsonl(std::ostream& os, const StepRecord& r) {
     w.end_object();
   }
   w.key("overlap").begin_object();
-  w.field("enabled", r.overlap_enabled);
   w.field("force_wall_seconds", r.force_wall_seconds);
   w.field("blocked_seconds", r.overlap_blocked_seconds);
   w.field("inflight_seconds", r.overlap_inflight_seconds);

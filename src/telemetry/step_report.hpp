@@ -78,8 +78,7 @@ struct StepRecord {
   // rank's wall clock over the combined cycle; the blocked/inflight sums
   // are job-wide (summed over ranks); the fraction is
   // inflight / (inflight + blocked) -- 1 means every message flight was
-  // fully hidden behind compute, 0 means none was (or overlap was off).
-  bool overlap_enabled = false;
+  // fully hidden behind compute, 0 means none was.
   double force_wall_seconds = 0;       ///< max over ranks, combined cycle wall
   double overlap_blocked_seconds = 0;  ///< sum over ranks of wait-stall time
   double overlap_inflight_seconds = 0; ///< sum over ranks of post-to-drain windows

@@ -16,6 +16,7 @@
 #include "core/treepm_force.hpp"
 #include "ewald/ewald.hpp"
 #include "parx/runtime.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -121,30 +122,34 @@ TEST(ParallelSim, InitialForceMatchesTreePmOracle) {
   }
 }
 
-TEST(ParallelSim, DistributedForceMatchesEwald) {
-  // The distributed path end to end -- 8 ranks (2x2x2), relay mesh
-  // conversion, PM/PP overlap, the engine's default mixed-precision
-  // Phantom kernel -- against the exact periodic force, which shares no
-  // code with TreePmForce.  One step, so the checked acc_s + acc_l are the
-  // ones the overlapped force cycle cached at the end-of-step positions.
-  // Clustered input: 70% of the particles in 4 clumps of scale 0.03.
-  //
-  // Relative error per particle, measured rms 1.179e-2, p99 3.482e-2 (p50
-  // 7.36e-3) with the double-precision kernel that ran before and with the
-  // mixed-precision one, alike to four digits under every GREEM_KERNEL: the
-  // TreePM split at rcut = 3h, n_mesh 32 and theta 0.3 sets them, the
-  // kernel's ~1e-6 does not.  Budgets at ~1.3x: a fault in the kernel, the
-  // decomposition or the mesh that moves the force by a quarter of the
-  // split's own error fails.
+/// Rank-level calls of the relay mesh's cross-group reduce so far (a
+/// telemetry counter; it stays 0 when the telemetry layer is compiled out).
+std::uint64_t cross_group_reduces() {
+  return telemetry::Registry::global().counter("pm/relay/cross_group_reduces").value();
+}
+
+struct EwaldErrors {
+  double rms = 0, p99 = 0;
+  double p99_short_only = 0;  ///< acc_s alone, without the PM half
+};
+
+/// One step of the distributed path under `cfg` from clustered input (70%
+/// of 2000 particles in 4 clumps of scale 0.03), then the relative error
+/// of each particle's acc_s + acc_l -- the values the force cycle cached at
+/// the end-of-step positions -- against the exact periodic force, which
+/// shares no code with TreePmForce.  Also checks that every slab position
+/// of every relay group joined the cross-group reduce in both PM cycles
+/// (construction and the step).
+EwaldErrors distributed_force_vs_ewald(const ParallelSimConfig& cfg) {
   const auto initial = clustered_particles(2000, 1.0, 4, 0.7, 0.03, 21);
-  auto cfg = test_config({2, 2, 2});
-  cfg.pm.n_mesh = 32;
-  cfg.pm.conversion.method = pm::MeshConversion::kRelay;
-  cfg.pm.conversion.n_groups = 2;
-  cfg.overlap = true;
-  ASSERT_EQ(cfg.kernel, tree::KernelKind::kPhantom);
+  const std::uint64_t reduce_before = cross_group_reduces();
   const auto out = run_parallel(cfg, with_velocities(initial, 22), 1, 0.002);
-  ASSERT_EQ(out.size(), initial.size());
+  EXPECT_EQ(out.size(), initial.size());
+  if (telemetry::enabled()) {
+    const auto& conv = cfg.pm.conversion;
+    EXPECT_EQ(cross_group_reduces() - reduce_before,
+              static_cast<std::uint64_t>(2 * conv.n_fft * conv.n_groups));
+  }
 
   ewald::EwaldParams ep;
   ep.table_n = 48;
@@ -160,10 +165,47 @@ TEST(ParallelSim, DistributedForceMatchesEwald) {
     rel.push_back((out[i].acc_s + out[i].acc_l - exact[i]).norm() / scale);
     rel_short_only.push_back((out[i].acc_s - exact[i]).norm() / scale);
   }
-  EXPECT_LT(rms(rel), 1.5e-2);
-  EXPECT_LT(percentile(rel, 99), 4.5e-2);
+  return {rms(rel), percentile(rel, 99), percentile(rel_short_only, 99)};
+}
+
+TEST(ParallelSim, DistributedForceMatchesEwald) {
+  // The distributed path end to end -- 8 ranks (2x2x2), relay mesh with two
+  // groups of 4 (n_fft 4), the interleaved PM/PP cycle, the engine's
+  // default mixed-precision Phantom kernel -- against the Ewald sum.
+  //
+  // Relative error per particle, measured rms 1.179e-2, p99 3.482e-2 (p50
+  // 7.36e-3) with the double-precision kernel that ran before and with the
+  // mixed-precision one, alike to four digits under every GREEM_KERNEL and
+  // with one relay group or two: the TreePM split at rcut = 3h, n_mesh 32
+  // and theta 0.3 sets them, the kernel's ~1e-6 does not.  Budgets at
+  // ~1.3x: a fault in the kernel, the decomposition or the mesh that moves
+  // the force by a quarter of the split's own error fails.  ~1.7 s.
+  auto cfg = test_config({2, 2, 2});
+  cfg.pm.n_mesh = 32;
+  cfg.pm.conversion.n_fft = 4;
+  cfg.pm.conversion.n_groups = 2;
+  ASSERT_EQ(cfg.kernel, tree::KernelKind::kPhantom);
+  const EwaldErrors e = distributed_force_vs_ewald(cfg);
+  EXPECT_LT(e.rms, 1.5e-2);
+  EXPECT_LT(e.p99, 4.5e-2);
   // Not vacuous: the short-range half alone misses by far more.
-  EXPECT_GT(percentile(rel_short_only, 99), 0.2);
+  EXPECT_GT(e.p99_short_only, 0.2);
+}
+
+TEST(ParallelSim, DistributedForceMatchesEwald27Ranks) {
+  // The same check on 27 ranks (3x3x3) with n_fft 9: three relay groups of
+  // 9, the shape of the paper's Fig. 5.  Measured rms 1.179e-2, p99
+  // 3.472e-2 under every GREEM_KERNEL: the 27-way decomposition moves the
+  // tree's group boundaries, not the split's error.  Budgets at ~1.3x as
+  // above.  ~1.7 s.
+  auto cfg = test_config({3, 3, 3});
+  cfg.pm.n_mesh = 32;
+  cfg.pm.conversion.n_fft = 9;
+  cfg.pm.conversion.n_groups = 3;
+  const EwaldErrors e = distributed_force_vs_ewald(cfg);
+  EXPECT_LT(e.rms, 1.5e-2);
+  EXPECT_LT(e.p99, 4.5e-2);
+  EXPECT_GT(e.p99_short_only, 0.2);
 }
 
 TEST(ParallelSim, MatchesSingleRank) {
@@ -188,17 +230,31 @@ TEST(ParallelSim, MatchesSingleRank) {
 }
 
 TEST(ParallelSim, RelayAndDirectConversionAgree) {
+  // One relay group is the direct conversion; two groups (n_fft 4 leaves
+  // room for them) add the cross-group reduce and bcast.  The reduce
+  // regroups each boundary cell's density sum -- (a0+a1+a2+a3)+(a4+...)
+  // against one left fold over all eight senders -- so the runs are not
+  // bitwise equal: after 2 steps 387-394 of the 400 particles differ in
+  // some bit, by at most 1.1e-19 in position and 5.6e-17 in momentum.
   auto initial = with_velocities(random_uniform_particles(400, 1.0, 5), 6);
   const double dt = 0.004;
-  auto relay_cfg = test_config({2, 2, 2});
-  relay_cfg.pm.conversion.method = pm::MeshConversion::kRelay;
+  auto direct_cfg = test_config({2, 2, 2});
+  direct_cfg.pm.conversion.n_fft = 4;
+  auto relay_cfg = direct_cfg;
   relay_cfg.pm.conversion.n_groups = 2;
-  const auto direct = run_parallel(test_config({2, 2, 2}), initial, 2, dt);
+  const std::uint64_t reduce_before = cross_group_reduces();
+  const auto direct = run_parallel(direct_cfg, initial, 2, dt);
+  const std::uint64_t reduce_direct = cross_group_reduces();
   const auto relay = run_parallel(relay_cfg, initial, 2, dt);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(reduce_direct, reduce_before);
+    // Three PM cycles (construction + 2 steps) x 4 slab positions x 2 groups.
+    EXPECT_EQ(cross_group_reduces() - reduce_direct, 24u);
+  }
   ASSERT_EQ(direct.size(), relay.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_LT(min_image(direct[i].pos, relay[i].pos).norm(), 1e-10);
-    EXPECT_LT((direct[i].mom - relay[i].mom).norm(), 1e-10);
+    EXPECT_LT(min_image(direct[i].pos, relay[i].pos).norm(), 1e-14);
+    EXPECT_LT((direct[i].mom - relay[i].mom).norm(), 1e-14);
   }
 }
 
@@ -280,57 +336,6 @@ TEST(ParallelSim, RejectsMismatchedDims) {
     EXPECT_THROW(ParallelSimulation(world, test_config({2, 2, 1}), {}, 0.0),
                  std::invalid_argument);
   });
-}
-
-TEST(ParallelSim, OverlapOnAndOffAreBitwiseIdentical) {
-  // The overlap switch may only change the interleaving of the PM and PP
-  // stages, never a result bit: full runs (including the pipelined PM,
-  // ghost drains in arrival order, and the final synchronize) must agree
-  // bitwise under both mesh-conversion methods.
-  auto initial = with_velocities(random_uniform_particles(400, 1.0, 51), 52);
-  const double dt = 0.004;
-  auto run = [&](bool overlap, pm::MeshConversion method, int n_groups) {
-    std::mutex mu;
-    std::vector<Particle> collected;
-    parx::run_ranks(8, [&](parx::Comm& world) {
-      std::vector<Particle> local = world.rank() == 0 ? initial : std::vector<Particle>{};
-      auto cfg = test_config({2, 2, 2});
-      cfg.overlap = overlap;
-      cfg.pm.conversion.method = method;
-      cfg.pm.conversion.n_groups = n_groups;
-      ParallelSimulation sim(world, cfg, std::move(local), 0.0);
-      for (int s = 1; s <= 2; ++s) sim.step(s * dt);
-      sim.synchronize();
-      std::lock_guard lock(mu);
-      const auto loc = sim.local();
-      collected.insert(collected.end(), loc.begin(), loc.end());
-    });
-    return sorted_by_id(collected);
-  };
-  struct Case {
-    pm::MeshConversion method;
-    int n_groups;
-    const char* name;
-  };
-  for (const Case& tc : {Case{pm::MeshConversion::kDirect, 1, "direct"},
-                         Case{pm::MeshConversion::kRelay, 2, "relay"}}) {
-    SCOPED_TRACE(tc.name);
-    const auto off = run(false, tc.method, tc.n_groups);
-    const auto on = run(true, tc.method, tc.n_groups);
-    ASSERT_EQ(on.size(), off.size());
-    for (std::size_t i = 0; i < on.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&on[i], &off[i], sizeof(Particle)), 0)
-          << "overlap ON diverged from OFF at particle " << i;
-    }
-  }
-
-  // The switch is scheduling, not physics: checkpoints written with one
-  // setting must restore under the other, so it stays out of the
-  // fingerprint.
-  auto cfg_on = test_config({2, 2, 2});
-  auto cfg_off = cfg_on;
-  cfg_on.overlap = true;
-  EXPECT_EQ(config_fingerprint(cfg_on), config_fingerprint(cfg_off));
 }
 
 // ---------------------------------------------------------- determinism --

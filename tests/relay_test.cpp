@@ -1,6 +1,6 @@
 // Parallel PM and relay mesh method tests: the distributed solver must
-// reproduce the serial PM exactly (up to summation order), the relay
-// conversion must agree with the direct conversion, and the traffic ledger
+// reproduce the serial PM exactly (up to summation order) with one relay
+// group (the direct conversion) and with several, and the traffic ledger
 // must show the paper's congestion-relief effect.  Includes the exact
 // configuration of the paper's Fig. 5 (6x6 processes, 8^3 mesh, 4 groups).
 
@@ -14,6 +14,7 @@
 #include "pm/parallel_pm.hpp"
 #include "pm/pm_solver.hpp"
 #include "pm/relay_mesh.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace greem::pm {
@@ -36,10 +37,19 @@ TestParticles make_particles(std::size_t n, std::uint64_t seed) {
   return tp;
 }
 
+/// Rank-level calls of the relay mesh's cross-group reduce so far (a
+/// telemetry counter; it stays 0 when the telemetry layer is compiled out).
+std::uint64_t cross_group_reduces() {
+  return telemetry::Registry::global().counter("pm/relay/cross_group_reduces").value();
+}
+
 /// Run the parallel PM over `dims` ranks and compare per-particle
-/// accelerations with the serial solver.
-void expect_matches_serial(std::array<int, 3> dims, MeshConversion method, int n_groups,
-                           std::size_t n_mesh) {
+/// accelerations with the serial solver.  With n_groups > 1, each of the
+/// n_fft slab positions of every group must have joined the cross-group
+/// reduce: the converter caps the groups at p / n_fft, so `n_fft` must
+/// leave room for them.
+void expect_matches_serial(std::array<int, 3> dims, int n_groups, std::size_t n_mesh,
+                           int n_fft = 0) {
   const auto tp = make_particles(300, 42);
 
   // Serial reference.
@@ -52,10 +62,11 @@ void expect_matches_serial(std::array<int, 3> dims, MeshConversion method, int n
 
   std::mutex mu;
   std::vector<Vec3> got(tp.pos.size());
+  const std::uint64_t reduce_before = cross_group_reduces();
   parx::run_ranks(p, [&](parx::Comm& world) {
     ParallelPmParams params;
     params.n_mesh = n_mesh;
-    params.conversion.method = method;
+    params.conversion.n_fft = n_fft;
     params.conversion.n_groups = n_groups;
     ParallelPm pm(world, params);
     pm.update_domain(decomp.box_of(world.rank()));
@@ -82,38 +93,41 @@ void expect_matches_serial(std::array<int, 3> dims, MeshConversion method, int n
     EXPECT_NEAR(got[i].y, ref[i].y, 1e-9 * scale);
     EXPECT_NEAR(got[i].z, ref[i].z, 1e-9 * scale);
   }
+  if (telemetry::enabled()) {
+    const int fft = n_fft > 0 ? n_fft : std::min(p, static_cast<int>(n_mesh));
+    EXPECT_EQ(cross_group_reduces() - reduce_before,
+              n_groups > 1 ? static_cast<std::uint64_t>(fft * n_groups) : 0u);
+  }
 }
 
-TEST(ParallelPm, DirectMatchesSerialSingleRank) {
-  expect_matches_serial({1, 1, 1}, MeshConversion::kDirect, 1, 16);
-}
+TEST(ParallelPm, OneGroupMatchesSerialSingleRank) { expect_matches_serial({1, 1, 1}, 1, 16); }
 
-TEST(ParallelPm, DirectMatchesSerialEightRanks) {
-  expect_matches_serial({2, 2, 2}, MeshConversion::kDirect, 1, 16);
-}
+TEST(ParallelPm, OneGroupMatchesSerialEightRanks) { expect_matches_serial({2, 2, 2}, 1, 16); }
 
-TEST(ParallelPm, DirectMatchesSerialAnisotropicGrid) {
-  expect_matches_serial({4, 2, 1}, MeshConversion::kDirect, 1, 16);
+TEST(ParallelPm, OneGroupMatchesSerialAnisotropicGrid) {
+  expect_matches_serial({4, 2, 1}, 1, 16);
 }
 
 TEST(ParallelPm, RelayMatchesSerialTwoGroups) {
-  expect_matches_serial({2, 2, 2}, MeshConversion::kRelay, 2, 16);
+  // 8 ranks, 4 FFT ranks -> two groups of 4.
+  expect_matches_serial({2, 2, 2}, 2, 16, 4);
 }
 
 TEST(ParallelPm, RelayMatchesSerialFourGroups) {
-  expect_matches_serial({4, 2, 2}, MeshConversion::kRelay, 4, 16);
+  // 16 ranks, 4 FFT ranks -> four groups of 4.
+  expect_matches_serial({4, 2, 2}, 4, 16, 4);
 }
 
 TEST(ParallelPm, RelayWithMoreRanksThanMeshPlanes) {
   // 27 ranks, 8 planes -> n_fft = 8 < p, the regime the relay method
-  // targets.
-  expect_matches_serial({3, 3, 3}, MeshConversion::kRelay, 3, 8);
+  // targets: three groups (9, 9 and 9 ranks).
+  expect_matches_serial({3, 3, 3}, 3, 8);
 }
 
 TEST(ParallelPm, Figure5Configuration) {
   // The paper's illustration: 6x6 = 36 processes, N_PM = 8^3, 8 FFT
   // processes, 4 groups of 9.
-  expect_matches_serial({6, 6, 1}, MeshConversion::kRelay, 4, 8);
+  expect_matches_serial({6, 6, 1}, 4, 8);
 }
 
 TEST(MeshConverter, PlaneOwnerInvertsSplitRange) {
@@ -140,7 +154,6 @@ TEST(MeshConverter, ForwardBackwardRoundtrip) {
   parx::run_ranks(4, [&](parx::Comm& world) {
     ConverterParams params;
     params.n_mesh = n;
-    params.method = MeshConversion::kDirect;
     MeshConverter conv(world, params);
 
     const CellRegion region = region_for_domain(decomp.box_of(world.rank()), n, 2);
@@ -177,7 +190,6 @@ TEST(MeshConverter, GatherSumsOverlappingContributions) {
   parx::run_ranks(2, [&](parx::Comm& world) {
     ConverterParams params;
     params.n_mesh = n;
-    params.method = MeshConversion::kDirect;
     MeshConverter conv(world, params);
 
     const CellRegion region{{0, 0, 0}, {n, n, n}};  // both cover everything
@@ -192,21 +204,21 @@ TEST(MeshConverter, GatherSumsOverlappingContributions) {
 }
 
 TEST(RelayMesh, ReducesCongestionAtFftRanks) {
-  // Measure the busiest receiver during the forward conversion: the relay
-  // method must cut it well below the direct method's (the paper's factor
-  // >3 at scale; the effect is already visible at 36 ranks).
+  // Measure the busiest receiver during the forward conversion: four relay
+  // groups must cut it well below one group's, the direct conversion (the
+  // paper's factor >3 at scale; the effect is already visible at 36
+  // ranks).
   const std::size_t n = 8;
   const auto dims = std::array<int, 3>{6, 6, 1};
   const auto decomp = domain::Decomposition::uniform(dims);
   const auto tp = make_particles(720, 7);
 
-  auto run = [&](MeshConversion method, int n_groups) {
+  auto run = [&](int n_groups) {
     parx::Runtime rt(36);
     std::uint64_t max_in = 0;
     rt.run([&](parx::Comm& world) {
       ParallelPmParams params;
       params.n_mesh = n;
-      params.conversion.method = method;
       params.conversion.n_groups = n_groups;
       ParallelPm pm(world, params);
       pm.update_domain(decomp.box_of(world.rank()));
@@ -230,8 +242,8 @@ TEST(RelayMesh, ReducesCongestionAtFftRanks) {
     return max_in;
   };
 
-  const auto direct = run(MeshConversion::kDirect, 1);
-  const auto relay = run(MeshConversion::kRelay, 4);
+  const auto direct = run(1);
+  const auto relay = run(4);
   EXPECT_GT(direct, relay) << "relay must reduce the busiest endpoint";
   EXPECT_GE(direct, 30u);  // every rank's region overlaps every FFT slab here
 }
