@@ -294,6 +294,7 @@ void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
   // concurrently with the PP part").  Every stage is a pure function of
   // its inputs and all drains unpack in canonical rank order, so the
   // interleaving moves only the stalls -- never a result bit.
+  std::vector<Vec3> accl(particles_.size(), Vec3{});
   pm::ParallelPm::Cycle c;
   GhostWork g;
 
@@ -317,7 +318,6 @@ void ParallelSimulation::combined_force_cycle(std::uint64_t fault_step) {
   parx::set_fault_context(fault_step, parx::FaultPhase::kPM);
   ov.inflight_s += wall.seconds() - t_scatter_posted;
   with_epoch("pm", report_.traffic_pm, [&] {
-    std::vector<Vec3> accl(particles_.size(), Vec3{});
     pm_.finish_cycle(c, pos, accl, &report_.pm);
     for (std::size_t i = 0; i < particles_.size(); ++i) particles_[i].acc_l = accl[i];
   });
