@@ -120,7 +120,7 @@ TEST(ParallelPm, RelayMatchesSerialFourGroups) {
 
 TEST(ParallelPm, RelayWithMoreRanksThanMeshPlanes) {
   // 27 ranks, 8 planes -> n_fft = 8 < p, the regime the relay method
-  // targets: three groups (9, 9 and 9 ranks).
+  // targets: three groups of 9.
   expect_matches_serial({3, 3, 3}, 3, 8);
 }
 
