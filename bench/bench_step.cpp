@@ -307,7 +307,9 @@ int main(int argc, char** argv) {
   cfg.theta = 0.5;
   cfg.ncrit = 100;
   cfg.eps = 1e-3;
-  cfg.sampling.target_samples = 10000;
+  // Half the particles: at a full sampling rate every particle is drawn,
+  // the cost weights cannot act and the cuts reduce to equal-count cuts.
+  cfg.sampling.target_samples = opt.particles / 2;
   cfg.step_report_path = jsonl_path;
   cfg.restore_from = opt.restore_from;
 
@@ -407,6 +409,9 @@ int main(int argc, char** argv) {
       auto pts = core::clustered_particles(n, 1.0, 4, 0.7, 0.03, 2718);
       auto scfg = cfg;
       scfg.pm.n_mesh = static_cast<int>(p.n_mesh);
+      // 10,000 samples, as when the CI interaction-imbalance bound at
+      // N = 1e6 was set.
+      scfg.sampling.target_samples = 10000;
       scfg.step_report_path.clear();
       scfg.restore_from.clear();
       constexpr int kSweepSteps = 2;
